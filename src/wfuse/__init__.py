@@ -2,7 +2,6 @@
 
 from .homodyne import (
     DiscriminationReport,
-    QuadratureModel,
     class_mean,
     discrimination_report,
     p_error,
@@ -42,13 +41,10 @@ from .oracle import (
 from .planner import (
     CampaignResult,
     CostTable,
-    SchemeSpec,
-    compare_schemes,
-    compose_cost,
     cost_tables_csv,
     optimal_costs,
+    p_pair,
     ps_qlf,
-    qlf_scheme,
     run_campaign,
 )
 from .protocol import (

@@ -28,16 +28,6 @@ def class_mean(probe: ProbeConfig, phase_class: PhaseClass) -> float:
     return 2.0 * probe.alpha * math.cos(phase_class.abs_half_theta * probe.theta / 2.0)
 
 
-@dataclass(frozen=True)
-class QuadratureModel:
-    """Readout statistics for one probe configuration; sigma is fixed at 1."""
-
-    probe: ProbeConfig
-
-    def mean(self, phase_class: PhaseClass) -> float:
-        return class_mean(self.probe, phase_class)
-
-
 def p_error(probe: ProbeConfig, class_a: PhaseClass, class_b: PhaseClass) -> float:
     """Misclassification probability of the midpoint-threshold discriminator."""
     if class_a == class_b:

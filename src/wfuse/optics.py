@@ -406,8 +406,8 @@ class ProbeConfig:
     theta: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if not 0 < self.theta < math.pi / 4:
             raise ValueError("theta must lie in (0, pi/4)")
 

@@ -12,25 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 MAX_PLAN_SIZE = 10_000
-
-
-class FuseRule(NamedTuple):
-    output_size: int
-    success_prob: Fraction
-
-
-@dataclass(frozen=True)
-class SchemeSpec:
-    """A fusion rule: two input sizes to an output size and a success odds."""
-
-    name: str
-    fuse: Callable[[int, int], FuseRule]
-    min_input: int = 2
+# the loss-free fusion is the only scheme; its name tags every output row
+SCHEME = "qlf"
 
 
 def ps_qlf(n: int, m: int) -> Fraction:
@@ -40,22 +28,12 @@ def ps_qlf(n: int, m: int) -> Fraction:
     return Fraction(n + m, 2 * n * m)
 
 
-def qlf_scheme() -> SchemeSpec:
-    return SchemeSpec("qlf", lambda n, m: FuseRule(n + m, ps_qlf(n, m)), 2)
-
-
-def compose_cost(
-    cost_n: Fraction, cost_m: Fraction, scheme: SchemeSpec, n: int, m: int
-) -> Fraction:
-    """Expected cost of the output given the input costs, all-lost-on-failure."""
-    if n < scheme.min_input or m < scheme.min_input:
-        raise ValueError(
-            f"scheme {scheme.name} needs inputs of size >= {scheme.min_input}"
-        )
-    rule = scheme.fuse(n, m)
-    if not 0 < rule.success_prob <= 1:
-        raise ValueError("success probability must lie in (0, 1]")
-    return (Fraction(cost_n) + Fraction(cost_m)) / rule.success_prob
+def p_pair(n: int, m: int) -> Fraction:
+    """Probability that the fusion of sizes n and m fails into a recyclable
+    pair W_{n-1}, W_{m-1}; the rest of the failures merge into W_{n+m-2}."""
+    if n < 2 or m < 2:
+        raise ValueError("input sizes must be >= 2")
+    return Fraction((n - 1) * (m - 1), n * m)
 
 
 @dataclass(frozen=True)
@@ -66,23 +44,20 @@ class CostEntry:
 
 @dataclass(frozen=True)
 class CostTable:
-    scheme_name: str
     seed_size: int
     seed_cost: Fraction
     entries: dict
 
 
-def optimal_costs(
-    scheme: SchemeSpec, seed_size: int, seed_cost, max_size: int
-) -> CostTable:
+def optimal_costs(seed_size: int, seed_cost, max_size: int) -> CostTable:
     """Cheapest fusion plan for every size reachable from one seed.
 
     Exact fractions throughout; ties go to the most balanced split, then
-    to the smaller left input.  Fusions that do not grow the state are
-    ignored, which keeps the sweep well founded.
+    to the smaller left input.  Fusing ``left <= right`` gives size
+    ``left + right``, so each size is final once the sweep reaches it.
     """
-    if seed_size < scheme.min_input:
-        raise ValueError("seed is smaller than the scheme's minimum input")
+    if seed_size < 2:
+        raise ValueError("seed size must be >= 2")
     if not 1 <= max_size <= MAX_PLAN_SIZE:
         raise ValueError(f"max size must be in 1..{MAX_PLAN_SIZE}")
     seed_cost = Fraction(seed_cost)
@@ -98,30 +73,17 @@ def optimal_costs(
             entries[right] = CostEntry(cost, (k, right - k))
         if right not in entries:
             continue
-        for left in sorted(entries):
-            if left > right:
+        right_cost = entries[right].opt_cost
+        # sizes enter in ascending order, so this walks left upwards
+        for left, entry in entries.items():
+            size = left + right
+            if left > right or size > max_size:
                 break
-            rule = scheme.fuse(left, right)
-            if rule.output_size <= right or rule.output_size > max_size:
-                continue
-            cost = (entries[left].opt_cost + entries[right].opt_cost) / rule.success_prob
+            cost = (entry.opt_cost + right_cost) / ps_qlf(left, right)
             cand = (cost, right - left, left)
-            if rule.output_size not in best or cand < best[rule.output_size]:
-                best[rule.output_size] = cand
-    return CostTable(scheme.name, seed_size, seed_cost, entries)
-
-
-def compare_schemes(
-    schemes: Sequence[SchemeSpec],
-    seed_configs: Sequence[tuple[int, object]],
-    max_size: int,
-) -> list[CostTable]:
-    """One cost table per (scheme, seed size, seed cost) combination."""
-    return [
-        optimal_costs(scheme, seed_size, seed_cost, max_size)
-        for scheme in schemes
-        for seed_size, seed_cost in seed_configs
-    ]
+            if size not in best or cand < best[size]:
+                best[size] = cand
+    return CostTable(seed_size, seed_cost, entries)
 
 
 CSV_HEADER = "size,scheme,seed_size,seed_cost,opt_cost,split_k,split_rest"
@@ -142,7 +104,7 @@ def cost_tables_csv(tables: Sequence[CostTable]) -> str:
             else:
                 split_k, split_rest = map(str, entry.best_split)
             lines.append(
-                f"{size},{table.scheme_name},{table.seed_size},"
+                f"{size},{SCHEME},{table.seed_size},"
                 f"{_fmt(table.seed_cost)},{_fmt(entry.opt_cost)},{split_k},{split_rest}"
             )
     return "\n".join(lines) + "\n"
@@ -152,7 +114,7 @@ def plot_data(tables: Sequence[CostTable]) -> str:
     """Two-column size/cost text, one block per curve."""
     blocks = []
     for table in tables:
-        lines = [f"# scheme={table.scheme_name} seed={table.seed_size}"]
+        lines = [f"# scheme={SCHEME} seed={table.seed_size}"]
         for size in sorted(table.entries):
             lines.append(f"{size} {_fmt(table.entries[size].opt_cost)}")
         blocks.append("\n".join(lines))
@@ -179,13 +141,6 @@ class CampaignResult:
         }
 
 
-def _branch_probs(k: int, r: int) -> tuple[float, float]:
-    """Success probability and the recyclable-pair share of one attempt."""
-    success = float(ps_qlf(k, r))
-    pair = (k - 1) * (r - 1) / (k * r)
-    return success, pair
-
-
 def _simulate_trial(
     target: int,
     seed_size: int,
@@ -206,7 +161,7 @@ def _simulate_trial(
             seeds_used += 1
             return
         k, r = splits[size]
-        p_success, p_pair = probs[(k, r)]
+        p_success, pair_share = probs[(k, r)]
         while True:
             obtain(k)
             obtain(r)
@@ -214,7 +169,7 @@ def _simulate_trial(
             if u < p_success:
                 return
             if recycling:
-                if u < p_success + p_pair:
+                if u < p_success + pair_share:
                     for back in (k - 1, r - 1):
                         if back >= 2:
                             pool[back] = pool.get(back, 0) + 1
@@ -241,7 +196,7 @@ def run_campaign(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    table = optimal_costs(qlf_scheme(), seed_size, 1, target_size)
+    table = optimal_costs(seed_size, 1, target_size)
     if target_size not in table.entries:
         raise ValueError(
             f"size {target_size} is not reachable from seed {seed_size}"
@@ -251,7 +206,10 @@ def run_campaign(
         for size, e in table.entries.items()
         if e.best_split is not None
     }
-    probs = {split: _branch_probs(*split) for split in splits.values()}
+    probs = {
+        split: (float(ps_qlf(*split)), float(p_pair(*split)))
+        for split in splits.values()
+    }
     counts = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([rng_seed, t])

@@ -331,26 +331,21 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
         raise RuntimeError("spatial branches diverged after the swap")
     stages.append(StageRecord("spatial-gate", tuple(stage2_branches)))
 
+    # the divergence check above makes stage 3 the same on both spatial
+    # branches, so it runs once and is recorded under each branch's label
+    stage3_branches = tuple(step3_polarization_gate(stage2_branches[0].post_state))
+    keep3 = _branch_by_class(stage3_branches, 1)
+    drop3 = _branch_by_class(stage3_branches, 3)
+    success_state = keep3.post_state
+    merged_state = drop3.post_state
     success_prob = 0.0
     success_exact = Fraction(0)
     merged_prob = 0.0
     merged_exact = Fraction(0)
-    success_state = None
-    merged_state = None
     for br2 in stage2_branches:
-        stage3_branches = step3_polarization_gate(br2.post_state)
         stages.append(
-            StageRecord(
-                f"polarization-gate-2[via {br2.label}]", tuple(stage3_branches)
-            )
+            StageRecord(f"polarization-gate-2[via {br2.label}]", stage3_branches)
         )
-        keep3 = _branch_by_class(stage3_branches, 1)
-        drop3 = _branch_by_class(stage3_branches, 3)
-        if success_state is None:
-            success_state = keep3.post_state
-            merged_state = drop3.post_state
-        elif keep3.post_state != success_state:
-            raise RuntimeError("success states differ between spatial branches")
         path_prob = keep1.probability * br2.probability
         success_prob += path_prob * keep3.probability
         merged_prob += path_prob * drop3.probability

@@ -32,7 +32,6 @@ from wfuse.oracle import (
 from wfuse.planner import (
     optimal_costs,
     ps_qlf,
-    qlf_scheme,
     run_campaign,
 )
 from wfuse.protocol import (
@@ -215,9 +214,8 @@ def _all_tree_costs(seed: int, target: int) -> set:
 
 
 def test_criterion_7_planner():
-    scheme = qlf_scheme()
     for seed in (2, 3):
-        table = optimal_costs(scheme, seed, Fraction(1), 10)
+        table = optimal_costs(seed, Fraction(1), 10)
         for size, entry in table.entries.items():
             if size == seed:
                 assert entry.opt_cost == Fraction(1)
@@ -225,14 +223,14 @@ def test_criterion_7_planner():
             trees = _all_tree_costs(seed, size)
             assert trees and entry.opt_cost == min(trees)
 
-    pair_cost = optimal_costs(scheme, 2, Fraction(1), 4).entries[4].opt_cost
-    triple_cost = optimal_costs(scheme, 3, Fraction(1), 6).entries[6].opt_cost
+    pair_cost = optimal_costs(2, Fraction(1), 4).entries[4].opt_cost
+    triple_cost = optimal_costs(3, Fraction(1), 6).entries[6].opt_cost
     assert pair_cost == Fraction(4)
     assert triple_cost == Fraction(6)
 
     start = time.perf_counter()
-    pair = optimal_costs(scheme, 2, Fraction(1), 250)
-    triple = optimal_costs(scheme, 3, Fraction(1), 250)
+    pair = optimal_costs(2, Fraction(1), 250)
+    triple = optimal_costs(3, Fraction(1), 250)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"planning to 250 took {elapsed:.2f}s"
     common = set(pair.entries) & set(triple.entries)

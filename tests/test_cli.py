@@ -6,6 +6,7 @@ as the installed console script, minus the process boundary.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -141,6 +142,12 @@ def test_plan_rejects_bad_seed(capsys):
     assert "seed sizes must be >= 2" in err
 
 
+def test_plan_has_no_scheme_option(capsys):
+    code, out, err = run_cli(capsys, ["plan", "--scheme", "qlf"])
+    assert code == 2
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # error
 # ---------------------------------------------------------------------------
@@ -198,6 +205,51 @@ def test_campaign_rejects_unreachable_target(capsys):
     assert err.startswith("error:")
 
 
+def test_bad_seed_environment_only_affects_campaign(capsys, monkeypatch):
+    monkeypatch.setenv("WFUSE_SEED", "abc")
+    code, _, err = run_cli(capsys, ["fuse", "-n", "2", "-m", "2"])
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, ["campaign", "--target", "4", "--trials", "10"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    code, _, _ = run_cli(
+        capsys, ["campaign", "--target", "4", "--trials", "10", "--rng", "1"]
+    )
+    assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# bad inputs: exit 2 with one error line, never a crash
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--max", "20000"],
+        ["plan", "--seed-cost", "nan"],
+        ["plan", "--seed-cost", "inf"],
+        ["plan", "--seed-cost", "1e308", "--max", "8"],
+        ["error", "--alpha", "inf"],
+        ["error", "--alpha", "1e308"],
+    ],
+    ids=[
+        "plan-max-over-cap",
+        "plan-seed-cost-nan",
+        "plan-seed-cost-inf",
+        "plan-cost-overflow",
+        "error-alpha-inf",
+        "error-alpha-overflow",
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # determinism across repeated invocations
 # ---------------------------------------------------------------------------
@@ -224,3 +276,29 @@ def test_repeated_invocations_are_byte_identical(capsys, argv):
 def test_unknown_command_exits_with_usage_error(capsys):
     code, out, err = run_cli(capsys, ["transmogrify"])
     assert code == 2
+
+
+# sha256 of stdout at fixed arguments.  Stdout is the output contract, so a
+# digest changes only with a deliberate change to that contract.
+STDOUT_SHA256 = {
+    "plan": (
+        ["plan", "--seed", "2", "--seed", "3", "--max", "250"],
+        "8fb2edf3bd209ffb8a452c70cb2eff5e69059ce3e90a3a3a372f80ee36c27653",
+    ),
+    "fuse": (
+        ["fuse", "-n", "4", "-m", "3"],
+        "5072c6961cf86397f76d387f1bdc6e35013aff45c10ca770f3e63d80f052c72d",
+    ),
+    "campaign-recycling": (
+        ["campaign", "--target", "8", "--trials", "1000", "--recycling", "--rng", "7"],
+        "b31e877e576c350433d33c0ecd3aea42304e0a605d89d5b4059d54de48cd882c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
+def test_stdout_matches_recorded_digest(capsys, name):
+    argv, digest = STDOUT_SHA256[name]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -345,6 +345,8 @@ def test_probe_config_validation():
     with pytest.raises(ValueError):
         ProbeConfig(-1.0, 0.01)
     with pytest.raises(ValueError):
+        ProbeConfig(float("inf"), 0.01)
+    with pytest.raises(ValueError):
         ProbeConfig(100.0, 1.0)
     ProbeConfig(90000.0, 0.01)
 

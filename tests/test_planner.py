@@ -14,15 +14,14 @@ import pytest
 from wfuse.planner import (
     CSV_HEADER,
     CostTable,
-    compare_schemes,
-    compose_cost,
     cost_tables_csv,
     optimal_costs,
+    p_pair,
     plot_data,
     ps_qlf,
-    qlf_scheme,
     run_campaign,
 )
+from wfuse.protocol import LeafKind, run_fusion
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: enumerate every fusion tree
@@ -83,11 +82,19 @@ def test_success_probability_rejects_small_inputs():
         ps_qlf(2, 0)
 
 
-def test_compose_cost():
-    scheme = qlf_scheme()
-    assert compose_cost(Fraction(1), Fraction(1), scheme, 2, 2) == Fraction(4)
-    assert compose_cost(Fraction(1), Fraction(1), scheme, 3, 3) == Fraction(6)
-    assert compose_cost(Fraction(1), Fraction(4), scheme, 2, 4) == Fraction(40, 3)
+def test_rates_match_pipeline_leaves():
+    """The campaign's rates and leaf sizes are those of the pipeline."""
+    for n in range(2, 9):
+        for m in range(2, 9):
+            tree = run_fusion(n, m)
+            success = tree.leaf(LeafKind.SUCCESS)
+            pair = tree.leaf(LeafKind.RECYCLABLE_PAIR)
+            merged = tree.leaf(LeafKind.RECYCLABLE_MERGED)
+            assert success.probability_exact == ps_qlf(n, m)
+            assert pair.probability_exact == p_pair(n, m)
+            assert success.classification.sizes == (n + m,)
+            assert pair.classification.sizes == (n - 1, m - 1)
+            assert merged.classification.sizes == (n + m - 2,)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +103,7 @@ def test_compose_cost():
 
 
 def test_pair_seed_table_known_values():
-    table = optimal_costs(qlf_scheme(), 2, Fraction(1), 10)
+    table = optimal_costs(2, Fraction(1), 10)
     got = {size: entry.opt_cost for size, entry in table.entries.items()}
     assert got == {
         2: Fraction(1),
@@ -108,14 +115,14 @@ def test_pair_seed_table_known_values():
 
 
 def test_triple_seed_table_known_values():
-    table = optimal_costs(qlf_scheme(), 3, Fraction(1), 9)
+    table = optimal_costs(3, Fraction(1), 9)
     got = {size: entry.opt_cost for size, entry in table.entries.items()}
     assert got == {3: Fraction(1), 6: Fraction(6), 9: Fraction(28)}
 
 
 @pytest.mark.parametrize("seed", [2, 3])
 def test_dynamic_program_matches_tree_enumeration(seed):
-    table = optimal_costs(qlf_scheme(), seed, Fraction(1), 10)
+    table = optimal_costs(seed, Fraction(1), 10)
     for size, entry in table.entries.items():
         if size == seed:
             continue
@@ -125,7 +132,7 @@ def test_dynamic_program_matches_tree_enumeration(seed):
 
 
 def test_recorded_splits_recompose():
-    table = optimal_costs(qlf_scheme(), 2, Fraction(1), 24)
+    table = optimal_costs(2, Fraction(1), 24)
     for size, entry in table.entries.items():
         if entry.best_split is None:
             assert size == 2
@@ -139,16 +146,15 @@ def test_recorded_splits_recompose():
 
 
 def test_seed_cost_scales_linearly():
-    unit = optimal_costs(qlf_scheme(), 2, Fraction(1), 16)
-    scaled = optimal_costs(qlf_scheme(), 2, Fraction(3, 2), 16)
+    unit = optimal_costs(2, Fraction(1), 16)
+    scaled = optimal_costs(2, Fraction(3, 2), 16)
     for size in unit.entries:
         assert scaled.entries[size].opt_cost == Fraction(3, 2) * unit.entries[size].opt_cost
 
 
 def test_triple_seed_never_beaten_by_pair_seed_at_common_sizes():
-    pair, triple = compare_schemes(
-        [qlf_scheme()], [(2, Fraction(1)), (3, Fraction(1))], 50
-    )
+    pair = optimal_costs(2, Fraction(1), 50)
+    triple = optimal_costs(3, Fraction(1), 50)
     common = sorted(set(pair.entries) & set(triple.entries))
     assert common, "tables share no sizes"
     for size in common:
@@ -156,14 +162,14 @@ def test_triple_seed_never_beaten_by_pair_seed_at_common_sizes():
 
 
 def test_unreachable_sizes_are_absent():
-    table = optimal_costs(qlf_scheme(), 2, Fraction(1), 11)
+    table = optimal_costs(2, Fraction(1), 11)
     assert set(table.entries) == {2, 4, 6, 8, 10}
-    table3 = optimal_costs(qlf_scheme(), 3, Fraction(1), 11)
+    table3 = optimal_costs(3, Fraction(1), 11)
     assert set(table3.entries) == {3, 6, 9}
 
 
 def test_max_size_below_seed_yields_empty_table():
-    table = optimal_costs(qlf_scheme(), 4, Fraction(1), 3)
+    table = optimal_costs(4, Fraction(1), 3)
     assert table.entries == {}
 
 
@@ -173,7 +179,7 @@ def test_max_size_below_seed_yields_empty_table():
 
 
 def test_csv_header_and_rows():
-    table = optimal_costs(qlf_scheme(), 2, Fraction(1), 6)
+    table = optimal_costs(2, Fraction(1), 6)
     text = cost_tables_csv([table])
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
@@ -185,16 +191,16 @@ def test_csv_header_and_rows():
 
 def test_csv_is_deterministic():
     tables = [
-        optimal_costs(qlf_scheme(), 2, Fraction(1), 30),
-        optimal_costs(qlf_scheme(), 3, Fraction(1), 30),
+        optimal_costs(2, Fraction(1), 30),
+        optimal_costs(3, Fraction(1), 30),
     ]
     assert cost_tables_csv(tables) == cost_tables_csv(tables)
 
 
 def test_plot_data_blocks():
     tables = [
-        optimal_costs(qlf_scheme(), 2, Fraction(1), 8),
-        optimal_costs(qlf_scheme(), 3, Fraction(1), 8),
+        optimal_costs(2, Fraction(1), 8),
+        optimal_costs(3, Fraction(1), 8),
     ]
     text = plot_data(tables)
     blocks = text.strip().split("\n\n")
@@ -225,7 +231,7 @@ def test_campaign_rejects_bad_arguments():
 
 
 def test_campaign_mean_matches_planner_cost():
-    table = optimal_costs(qlf_scheme(), 2, Fraction(1), 4)
+    table = optimal_costs(2, Fraction(1), 4)
     expected = float(table.entries[4].opt_cost)
     result = run_campaign(4, 2, 40_000, recycling=False, rng_seed=9)
     assert result.std_error > 0
