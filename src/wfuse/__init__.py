@@ -23,7 +23,6 @@ from .optics import (
     apply_hwp45,
     apply_path_coupler,
     apply_swap,
-    conditional_phase_on_polarization,
     cross_kerr_on_path,
     cross_kerr_on_polarization,
     make_branch_state,

@@ -3,7 +3,8 @@
 Subcommands: fuse (enumerate one fusion's outcome tree), verify (dense
 cross-check sweep), plan (cost tables), error (readout operating point),
 campaign (Monte-Carlo seed consumption).  Exit codes: 0 on success, 1 when
-verification fails, 2 on usage errors.
+verification fails, 2 on usage errors, 3 on an internal error (an uncaught
+exception, reported as one ``error: internal:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +262,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # one line, so stderr stays parseable; the innermost frame says where
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        _err(f"internal: {exc!r} at {Path(where.filename).name}:{where.lineno}")
+        return 3
 
 
 def main_entry() -> None:

@@ -7,9 +7,11 @@ optical elements (polarization- and path-conditioned Kerr media, beam
 splitters, half-wave plates, path couplers, the path swap) act term by term
 and are all pure functions returning a new canonicalized state.
 
-Amplitudes are tracked twice: as complex floats and, where the arithmetic
-allows, as exact signed square roots of rationals.  The exact track is what
-lets the pipeline report branch probabilities as exact fractions.
+Every amplitude in the pipeline has the form sign*sqrt(q) with q rational,
+so each term carries it twice: as a real float and as that exact signed
+square root.  The exact track is what lets the pipeline report branch
+probabilities as exact fractions; a sum of amplitudes that leaves the form
+raises rather than degrading to the float alone.
 """
 
 from __future__ import annotations
@@ -20,19 +22,16 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 # tolerance for norm bookkeeping
 NORM_EPS = 1e-12
-# amplitudes at or below this magnitude are dropped after a merge
-DROP_EPS = 1e-14
 # the pipeline never drives the probe phase outside this range
 MAX_ABS_PROBE_PHASE = 4
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_TWO_PI = 2.0 * math.pi
 
 
 class Polarization(Enum):
@@ -108,29 +107,23 @@ class ExactAmp:
     def negated(self) -> "ExactAmp":
         return ExactAmp(-self.sign, self.mag2)
 
-    def to_complex(self) -> complex:
-        return complex(self.sign * math.sqrt(self.mag2))
+    def to_float(self) -> float:
+        return self.sign * math.sqrt(self.mag2)
 
 
-def _sqrt_fraction(value: Fraction) -> Optional[Fraction]:
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    if num * num == value.numerator and den * den == value.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def add_exact(a: Optional[ExactAmp], b: Optional[ExactAmp]) -> Optional[ExactAmp]:
-    """Sum of two exact amplitudes, or None when the result leaves the form."""
-    if a is None or b is None:
-        return None
+def add_exact(a: ExactAmp, b: ExactAmp) -> ExactAmp:
+    """Sum of two exact amplitudes; raises ValueError if it leaves the form."""
     if a.mag2 == 0:
         return b
     if b.mag2 == 0:
         return a
-    cross = _sqrt_fraction(a.mag2 * b.mag2)
-    if cross is None:
-        return None
+    prod = a.mag2 * b.mag2
+    num, den = math.isqrt(prod.numerator), math.isqrt(prod.denominator)
+    if num * num != prod.numerator or den * den != prod.denominator:
+        raise ValueError(
+            f"sqrt({a.mag2}) and sqrt({b.mag2}) sum outside the form sign*sqrt(q)"
+        )
+    cross = Fraction(num, den)
     if a.sign == b.sign:
         return ExactAmp(a.sign, a.mag2 + b.mag2 + 2 * cross)
     if a.mag2 == b.mag2:
@@ -147,13 +140,13 @@ class FusionTerm:
     units, so a physical shift of one full Kerr angle is recorded as 2.
     """
 
-    amplitude: complex
+    amplitude: float
     reg_a: RegisterContent
     reg_b: RegisterContent
     photon1: PhotonState
     photon2: PhotonState
-    probe_phase: int = 0
-    exact: Optional[ExactAmp] = None
+    probe_phase: int
+    exact: ExactAmp
 
     def __post_init__(self) -> None:
         if self.photon1.path not in PHOTON1_PATHS:
@@ -189,43 +182,29 @@ class BranchState:
     m_party_b: int
 
     def norm_squared(self) -> float:
-        return sum(abs(t.amplitude) ** 2 for t in self.terms)
+        return sum(t.amplitude**2 for t in self.terms)
 
-    def norm_squared_exact(self) -> Optional[Fraction]:
-        total = Fraction(0)
-        for t in self.terms:
-            if t.exact is None:
-                return None
-            total += t.exact.mag2
-        return total
+    def norm_squared_exact(self) -> Fraction:
+        return sum((t.exact.mag2 for t in self.terms), Fraction(0))
 
 
 def make_branch_state(
     terms: Iterable[FusionTerm], n_party_a: int, m_party_b: int
 ) -> BranchState:
-    """Merge duplicate keys, drop vanished terms, sort, and validate norm."""
+    """Merge duplicate keys, drop exactly vanished terms, sort, check norm."""
+    # a dict keeps first-insertion order, which the stable sort below relies on
     merged: dict = {}
-    order: list = []
     for term in terms:
         key = term.merge_key()
-        if key in merged:
-            prev = merged[key]
-            merged[key] = replace(
+        prev = merged.get(key)
+        if prev is not None:
+            term = replace(
                 prev,
                 amplitude=prev.amplitude + term.amplitude,
                 exact=add_exact(prev.exact, term.exact),
             )
-        else:
-            merged[key] = term
-            order.append(key)
-    kept = []
-    for key in order:
-        term = merged[key]
-        if term.exact is not None and term.exact.mag2 == 0:
-            continue
-        if abs(term.amplitude) <= DROP_EPS:
-            continue
-        kept.append(term)
+        merged[key] = term
+    kept = [t for t in merged.values() if t.exact.mag2 != 0]
     kept.sort(key=FusionTerm.sort_key)
     state = BranchState(tuple(kept), n_party_a, m_party_b)
     if state.norm_squared() > 1.0 + NORM_EPS:
@@ -298,7 +277,7 @@ def apply_bs(state: BranchState, photon_idx: int) -> BranchState:
         if photon.path is not PathLabel.UNSPLIT:
             raise ValueError("photon is already split")
         amp = term.amplitude * _INV_SQRT2
-        exact = term.exact.scaled_mag2(Fraction(1, 2)) if term.exact else None
+        exact = term.exact.scaled_mag2(Fraction(1, 2))
         for path in (first, second):
             out.append(
                 _set_photon(
@@ -350,51 +329,14 @@ def apply_swap(state: BranchState) -> BranchState:
     return _rebuild(state, out)
 
 
-def conditional_phase_on_polarization(
-    state: BranchState, photon_idx: int, pol: Polarization, phase: float
-) -> BranchState:
-    """Multiply matching terms by exp(i*phase)."""
-    _check_photon_idx(photon_idx)
-    reduced = phase % _TWO_PI
-    is_zero = min(reduced, _TWO_PI - reduced) < 1e-12
-    is_pi = abs(reduced - math.pi) < 1e-12
-    factor = cmath.exp(1j * phase)
-    out = []
-    for term in state.terms:
-        if _get_photon(term, photon_idx).pol is pol:
-            if is_zero:
-                pass
-            elif is_pi:
-                term = replace(
-                    term,
-                    amplitude=-term.amplitude,
-                    exact=term.exact.negated() if term.exact else None,
-                )
-            else:
-                term = replace(term, amplitude=term.amplitude * factor, exact=None)
-        out.append(term)
-    return _rebuild(state, out)
-
-
 def normalize_global_phase(state: BranchState) -> BranchState:
-    """Make the leading canonical amplitude real and positive."""
-    if not state.terms:
+    """Make the leading canonical amplitude positive."""
+    if not state.terms or state.terms[0].amplitude > 0:
         return state
-    lead = state.terms[0].amplitude
-    if abs(lead.imag) <= 1e-15 * abs(lead):
-        if lead.real > 0:
-            return state
-        out = [
-            replace(
-                t,
-                amplitude=-t.amplitude,
-                exact=t.exact.negated() if t.exact else None,
-            )
-            for t in state.terms
-        ]
-        return _rebuild(state, out)
-    unit = lead / abs(lead)
-    out = [replace(t, amplitude=t.amplitude / unit, exact=None) for t in state.terms]
+    out = [
+        replace(t, amplitude=-t.amplitude, exact=t.exact.negated())
+        for t in state.terms
+    ]
     return _rebuild(state, out)
 
 
@@ -424,8 +366,8 @@ def round_sig12(x: float) -> float:
 
 def term_to_json_obj(term: FusionTerm) -> dict:
     return {
-        "re": round_sig12(term.amplitude.real),
-        "im": round_sig12(term.amplitude.imag),
+        "re": round_sig12(term.amplitude),
+        "im": 0.0,
         "regA": {"kind": term.reg_a.kind.value, "count": term.reg_a.photon_count},
         "regB": {"kind": term.reg_b.kind.value, "count": term.reg_b.photon_count},
         "p1": {"pol": term.photon1.pol.value, "path": term.photon1.path.value},

@@ -126,7 +126,8 @@ class CampaignResult:
     target_size: int
     trials: int
     mean_seeds_consumed: float
-    std_error: float
+    # None for a single trial, where the standard error is undefined
+    std_error: Optional[float]
     recycling_enabled: bool
 
     def to_json_obj(self) -> dict:
@@ -136,7 +137,7 @@ class CampaignResult:
             "target": self.target_size,
             "trials": self.trials,
             "mean": round_sig12(self.mean_seeds_consumed),
-            "stderr": round_sig12(self.std_error),
+            "stderr": None if self.std_error is None else round_sig12(self.std_error),
             "recycling": self.recycling_enabled,
         }
 
@@ -218,6 +219,6 @@ def run_campaign(
         )
     mean = float(counts.mean())
     std_error = (
-        float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
     )
     return CampaignResult(target_size, trials, mean, std_error, recycling)

@@ -3,9 +3,10 @@
 The pipeline takes the tensor product of two W states (sizes n, m >= 2),
 runs the polarization-conditioned probe gate, the path-conditioned probe
 gate, and a second polarization-conditioned gate, and enumerates every
-measurement branch.  Probabilities are carried both as floats and as exact
-fractions; leaves are classified as the fused W state, a recyclable pair of
-shrunken W states, or a recyclable merged W state.
+measurement branch.  Every amplitude is a real float next to its exact
+signed square root, so every probability is carried both as a float and as
+an exact fraction; leaves are classified as the fused W state, a recyclable
+pair of shrunken W states, or a recyclable merged W state.
 
 Homodyne readout is idealized here: branches are grouped by the absolute
 probe phase, the measurement-induced relative phase inside a group is taken
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .optics import (
     BranchState,
@@ -61,7 +61,7 @@ class PhaseClass:
 class MeasurementBranch:
     phase_class: PhaseClass
     probability: float
-    probability_exact: Optional[Fraction]
+    probability_exact: Fraction
     post_state: BranchState
     label: str
 
@@ -82,7 +82,7 @@ class LeafClassification:
 class OutcomeLeaf:
     classification: LeafClassification
     probability: float
-    probability_exact: Optional[Fraction]
+    probability_exact: Fraction
     state: BranchState
 
 
@@ -149,7 +149,7 @@ def build_input_state(n: int, m: int) -> BranchState:
     def term(reg_a, reg_b, pol1, pol2, weight):
         exact = ExactAmp(1, Fraction(weight, nm))
         return FusionTerm(
-            exact.to_complex(),
+            exact.to_float(),
             reg_a,
             reg_b,
             PhotonState(pol1, PathLabel.UNSPLIT),
@@ -187,26 +187,20 @@ def homodyne_measure(state: BranchState) -> list[MeasurementBranch]:
     total = 0.0
     for abs_k in sorted(groups):
         members = groups[abs_k]
-        prob = sum(abs(t.amplitude) ** 2 for t in members)
+        prob = sum(t.amplitude**2 for t in members)
         total += prob
-        prob_exact: Optional[Fraction] = Fraction(0)
-        for t in members:
-            if t.exact is None:
-                prob_exact = None
-                break
-            prob_exact += t.exact.mag2
+        prob_exact = sum((t.exact.mag2 for t in members), Fraction(0))
         scale = 1.0 / math.sqrt(prob)
-        rescale_exact = None if prob_exact in (None, 0) else 1 / prob_exact
-        post_terms = []
-        for t in members:
-            exact = (
-                t.exact.scaled_mag2(rescale_exact)
-                if (t.exact is not None and rescale_exact is not None)
-                else None
+        rescale_exact = 1 / prob_exact
+        post_terms = [
+            replace(
+                t,
+                amplitude=t.amplitude * scale,
+                probe_phase=0,
+                exact=t.exact.scaled_mag2(rescale_exact),
             )
-            post_terms.append(
-                replace(t, amplitude=t.amplitude * scale, probe_phase=0, exact=exact)
-            )
+            for t in members
+        ]
         post = normalize_global_phase(
             make_branch_state(post_terms, state.n_party_a, state.m_party_b)
         )
@@ -284,7 +278,7 @@ def project_recyclable(state: BranchState) -> LeafClassification:
     if not state.terms:
         raise ValueError("empty state")
     seen = set()
-    per_position = None
+    per_position = set()
     for t in state.terms:
         if t.photon1.pol is not Polarization.V or t.photon2.pol is not Polarization.V:
             raise ValueError("photons are not all vertical")
@@ -296,13 +290,11 @@ def project_recyclable(state: BranchState) -> LeafClassification:
         else:
             raise ValueError("unexpected register pattern for a merged W state")
         seen.add(regs)
-        amp = t.amplitude / math.sqrt(count)
-        if per_position is None:
-            per_position = amp
-        elif abs(amp - per_position) > PROB_EPS:
-            raise ValueError("per-position amplitudes are unequal")
+        per_position.add((t.exact.sign, t.exact.mag2 / count))
     if len(seen) != 2:
         raise ValueError("merged W state must cover both register patterns")
+    if len(per_position) != 1:
+        raise ValueError("per-position amplitudes are unequal")
     return LeafClassification(LeafKind.RECYCLABLE_MERGED, (n + m - 2,))
 
 
@@ -349,15 +341,9 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
         path_prob = keep1.probability * br2.probability
         success_prob += path_prob * keep3.probability
         merged_prob += path_prob * drop3.probability
-        if None not in (
-            keep1.probability_exact,
-            br2.probability_exact,
-            keep3.probability_exact,
-            drop3.probability_exact,
-        ):
-            path_exact = keep1.probability_exact * br2.probability_exact
-            success_exact += path_exact * keep3.probability_exact
-            merged_exact += path_exact * drop3.probability_exact
+        path_exact = keep1.probability_exact * br2.probability_exact
+        success_exact += path_exact * keep3.probability_exact
+        merged_exact += path_exact * drop3.probability_exact
 
     merged_class = project_recyclable(merged_state)
     success_leaf = OutcomeLeaf(
@@ -374,9 +360,6 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
     total = sum(lf.probability for lf in leaves)
     if abs(total - 1.0) > PROB_EPS:
         raise RuntimeError(f"leaf probabilities sum to {total}, not 1")
-    total_exact = sum(
-        lf.probability_exact for lf in leaves if lf.probability_exact is not None
-    )
-    if total_exact != 1:
+    if sum(lf.probability_exact for lf in leaves) != 1:
         raise RuntimeError("exact leaf probabilities do not sum to 1")
     return OutcomeTree(n, m, tuple(stages), leaves)

@@ -199,6 +199,18 @@ def test_campaign_seed_from_environment(capsys, monkeypatch):
     assert out_env == out_flag
 
 
+def test_campaign_single_trial_has_null_stderr(capsys):
+    # one trial leaves the standard error undefined, not zero
+    code, out, err = run_cli(
+        capsys, ["campaign", "--target", "4", "--trials", "1", "--rng", "1"]
+    )
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["trials"] == 1
+    assert doc["stderr"] is None
+    assert '"stderr": null' in out
+
+
 def test_campaign_rejects_unreachable_target(capsys):
     code, out, err = run_cli(capsys, ["campaign", "--target", "5", "--trials", "10"])
     assert code == 2
@@ -250,6 +262,26 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_internal_error_exits_3_with_one_error_line(capsys, monkeypatch):
+    def crash(n, m):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr("wfuse.cli.run_fusion", crash)
+    code, out, err = run_cli(capsys, ["fuse", "-n", "3", "-m", "2"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal:") and len(err.splitlines()) == 1
+
+
+def test_base_exceptions_pass_through_main(monkeypatch):
+    def interrupt(n, m):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("wfuse.cli.run_fusion", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["fuse", "-n", "3", "-m", "2"])
+
+
 # ---------------------------------------------------------------------------
 # determinism across repeated invocations
 # ---------------------------------------------------------------------------
@@ -288,6 +320,14 @@ STDOUT_SHA256 = {
     "fuse": (
         ["fuse", "-n", "4", "-m", "3"],
         "5072c6961cf86397f76d387f1bdc6e35013aff45c10ca770f3e63d80f052c72d",
+    ),
+    "fuse-large": (
+        ["fuse", "-n", "500", "-m", "700"],
+        "6898522f04e5c5dc40ac9056d85f29a0694d663c28c84005bbf3113ae876068a",
+    ),
+    "verify": (
+        ["verify"],
+        "e745aab010d34db0cd6e7aafa7e8cdaf38772a61c7011339fe2732fd6e8582fc",
     ),
     "campaign-recycling": (
         ["campaign", "--target", "8", "--trials", "1000", "--recycling", "--rng", "7"],

@@ -27,7 +27,6 @@ from wfuse.optics import (
     apply_path_coupler,
     apply_swap,
     beam_splitter_matrix,
-    conditional_phase_on_polarization,
     cross_kerr_on_path,
     cross_kerr_on_polarization,
     mach_zehnder_mode_matrix,
@@ -49,17 +48,24 @@ V = Polarization.V
 UNSPLIT = PathLabel.UNSPLIT
 
 
-def single_term_state(pol1, pol2, amp=1.0, k=0, path1=UNSPLIT, path2=UNSPLIT):
-    term = FusionTerm(
-        amp,
+ONE = ExactAmp(1, Fraction(1))
+
+
+def make_term(pol1, pol2, exact, k=0, path1=UNSPLIT, path2=UNSPLIT, reg_b=None):
+    """A term whose float amplitude is derived from its exact one."""
+    return FusionTerm(
+        exact.to_float(),
         RegisterContent.all_horizontal(1),
-        RegisterContent.all_horizontal(1),
+        reg_b or RegisterContent.all_horizontal(1),
         PhotonState(pol1, path1),
         PhotonState(pol2, path2),
         k,
-        ExactAmp(1, Fraction(abs(amp) ** 2)) if amp == 1.0 else None,
+        exact,
     )
-    return make_branch_state([term], 2, 2)
+
+
+def single_term_state(pol1, pol2, exact=ONE, k=0, path1=UNSPLIT, path2=UNSPLIT):
+    return make_branch_state([make_term(pol1, pol2, exact, k, path1, path2)], 2, 2)
 
 
 def terms_by_pols(state):
@@ -83,9 +89,10 @@ def test_kerr_polarization_shifts_only_matches():
 
 
 def test_kerr_polarization_amplitude_untouched():
-    state = single_term_state(H, V, amp=0.5)
+    state = single_term_state(H, V, ExactAmp(1, Fraction(1, 4)))
     out = cross_kerr_on_polarization(state, 1, H, -2)
     assert out.terms[0].amplitude == 0.5
+    assert out.terms[0].exact == ExactAmp(1, Fraction(1, 4))
     assert out.terms[0].probe_phase == -2
 
 
@@ -187,32 +194,31 @@ def test_hwp_is_an_involution():
 
 
 def test_coupler_merges_amplitudes_without_rescale():
-    term = lambda path, amp: FusionTerm(
-        amp,
-        RegisterContent.all_horizontal(1),
-        RegisterContent.all_horizontal(1),
-        PhotonState(H, path),
-        PhotonState(V, UNSPLIT),
-    )
+    # 3/10 + 4/10 = 7/10, exactly: sqrt(9/100) + sqrt(16/100) = sqrt(49/100)
     state = make_branch_state(
-        [term(PathLabel.S11, 0.3), term(PathLabel.S12, 0.4)], 2, 2
+        [
+            make_term(H, V, ExactAmp(1, Fraction(9, 100)), path1=PathLabel.S11),
+            make_term(H, V, ExactAmp(1, Fraction(16, 100)), path1=PathLabel.S12),
+        ],
+        2,
+        2,
     )
     out = apply_path_coupler(state, 1)
     assert len(out.terms) == 1
     assert abs(out.terms[0].amplitude - 0.7) < ABS_TOL
+    assert out.terms[0].exact == ExactAmp(1, Fraction(49, 100))
     assert out.terms[0].photon1.path is UNSPLIT
 
 
 def test_coupler_drops_destructive_terms():
-    term = lambda path, amp: FusionTerm(
-        amp,
-        RegisterContent.all_horizontal(1),
-        RegisterContent.all_horizontal(1),
-        PhotonState(H, path),
-        PhotonState(V, UNSPLIT),
-    )
+    half = ExactAmp(1, Fraction(1, 4))
     state = make_branch_state(
-        [term(PathLabel.S11, 0.5), term(PathLabel.S12, -0.5)], 2, 2
+        [
+            make_term(H, V, half, path1=PathLabel.S11),
+            make_term(H, V, half.negated(), path1=PathLabel.S12),
+        ],
+        2,
+        2,
     )
     out = apply_path_coupler(state, 1)
     assert out.terms == ()
@@ -225,7 +231,7 @@ def test_bs_then_coupler_preserves_polarization_content():
             replace(
                 t,
                 amplitude=t.amplitude / math.sqrt(2),
-                exact=t.exact.scaled_mag2(Fraction(1, 2)) if t.exact else None,
+                exact=t.exact.scaled_mag2(Fraction(1, 2)),
             )
             for t in base.terms
         ],
@@ -281,57 +287,42 @@ def test_bs_and_phase_matrices_are_unitary():
 # ---------------------------------------------------------------------------
 
 
-def test_conditional_phase_zero_is_identity():
-    state = build_input_state(2, 2)
-    assert conditional_phase_on_polarization(state, 1, H, 0.0) == state
-
-
-def test_conditional_phase_pi_negates_matches():
-    state = build_input_state(2, 2)
-    out = conditional_phase_on_polarization(state, 1, H, math.pi)
-    for before, after in zip(state.terms, out.terms):
-        if before.photon1.pol is H:
-            assert after.amplitude == -before.amplitude
-            assert after.exact.sign == -before.exact.sign
-        else:
-            assert after.amplitude == before.amplitude
-
-
-def test_conditional_phase_general_keeps_norm():
-    state = build_input_state(2, 2)
-    out = conditional_phase_on_polarization(state, 2, V, 0.31)
-    assert abs(out.norm_squared() - 1.0) < ABS_TOL
-    assert abs(abs(terms_by_pols(out)[(V, V)].amplitude) - 0.5) < ABS_TOL
-
-
 def test_normalize_global_phase_flips_negative_lead():
     state = build_input_state(2, 2)
-    negated = conditional_phase_on_polarization(
-        conditional_phase_on_polarization(state, 1, H, math.pi),
-        1,
-        V,
-        math.pi,
+    negated = make_branch_state(
+        [
+            replace(t, amplitude=-t.amplitude, exact=t.exact.negated())
+            for t in state.terms
+        ],
+        2,
+        2,
     )
+    assert negated.terms[0].amplitude < 0
     fixed = normalize_global_phase(negated)
     assert fixed == state
 
 
 def test_merge_canonicalization_no_duplicate_keys():
-    term = FusionTerm(
-        0.5,
-        RegisterContent.all_horizontal(1),
-        RegisterContent.all_horizontal(1),
-        PhotonState(H, UNSPLIT),
-        PhotonState(V, UNSPLIT),
-    )
+    term = make_term(H, V, ExactAmp(1, Fraction(1, 4)))
     state = make_branch_state([term, term], 2, 2)
     assert len(state.terms) == 1
     assert abs(state.terms[0].amplitude - 1.0) < ABS_TOL
+    assert state.terms[0].exact == ONE
+
+
+def test_merge_outside_exact_form_raises():
+    # sqrt(1/8) + sqrt(1/12) is not a signed square root of a rational
+    terms = [
+        make_term(H, V, ExactAmp(1, Fraction(1, 8))),
+        make_term(H, V, ExactAmp(1, Fraction(1, 12))),
+    ]
+    with pytest.raises(ValueError):
+        make_branch_state(terms, 2, 2)
 
 
 def test_norm_cap_enforced():
     with pytest.raises(ValueError):
-        single_term_state(H, V, amp=1.1)
+        single_term_state(H, V, ExactAmp(1, Fraction(121, 100)))
 
 
 def test_register_content_validation():
@@ -357,8 +348,8 @@ def test_exact_amp_addition():
     assert doubled == ExactAmp(1, Fraction(2))
     cancel = add_exact(half, half.negated())
     assert cancel.mag2 == 0
-    odd = add_exact(ExactAmp(1, Fraction(1, 2)), ExactAmp(1, Fraction(1, 3)))
-    assert odd is None
+    with pytest.raises(ValueError):
+        add_exact(ExactAmp(1, Fraction(1, 2)), ExactAmp(1, Fraction(1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +379,15 @@ def test_state_serialization_shape_and_determinism():
 
 
 @st.composite
-def random_states(draw):
-    """Unsplit two-photon states with random weights on the product basis."""
+def random_states(draw, merging=False):
+    """Unsplit two-photon states with random weights on the product basis.
+
+    Amplitudes are s_i / sqrt(sum s^2) for nonzero integers s_i, so every
+    cross term of a merge is rational and the exact track stays in form.
+    Unless ``merging``, photon 1's polarization is mirrored in register B,
+    so flipping it never makes two terms coincide.  A merging state has
+    norm 1/2, so constructive interference at a coupler stays within 1.
+    """
     keys = draw(
         st.lists(
             st.tuples(
@@ -402,26 +400,23 @@ def random_states(draw):
             unique=True,
         )
     )
-    amps = draw(
+    weights = draw(
         st.lists(
-            st.complex_numbers(
-                min_magnitude=0.05, max_magnitude=1.0, allow_infinity=False, allow_nan=False
-            ),
+            st.integers(min_value=-20, max_value=20).filter(bool),
             min_size=len(keys),
             max_size=len(keys),
         )
     )
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    total = sum(w * w for w in weights) * (2 if merging else 1)
     terms = [
-        FusionTerm(
-            amp / norm,
-            RegisterContent.all_horizontal(1),
-            RegisterContent.w_state(1) if pol1 is H else RegisterContent.all_horizontal(1),
-            PhotonState(pol1, UNSPLIT),
-            PhotonState(pol2, UNSPLIT),
+        make_term(
+            pol1,
+            pol2,
+            ExactAmp(1 if w > 0 else -1, Fraction(w * w, total)),
             k,
+            reg_b=RegisterContent.w_state(1) if pol1 is H and not merging else None,
         )
-        for (pol1, pol2, k), amp in zip(keys, amps)
+        for (pol1, pol2, k), w in zip(keys, weights)
     ]
     return make_branch_state(terms, 2, 2)
 
@@ -430,16 +425,17 @@ def random_states(draw):
 @given(random_states())
 def test_norm_preserved_by_unitary_elements(state):
     start = state.norm_squared()
+    start_exact = state.norm_squared_exact()
     for op in (
         lambda s: cross_kerr_on_polarization(s, 1, H, -1),
         lambda s: probe_linear_shift(s, 1),
         lambda s: apply_bs(s, 1),
         lambda s: apply_bs(s, 2),
-        lambda s: conditional_phase_on_polarization(s, 2, V, 0.37),
         normalize_global_phase,
     ):
         state = op(state)
         assert abs(state.norm_squared() - start) < 1e-9
+        assert state.norm_squared_exact() == start_exact
 
 
 @settings(max_examples=60, deadline=None)
@@ -461,3 +457,15 @@ def test_canonical_states_have_unique_keys(state):
     assert len(keys) == len(set(keys))
     ordered = [t.sort_key() for t in out.terms]
     assert ordered == sorted(ordered)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_states(merging=True))
+def test_exact_track_follows_float_through_merges(state):
+    """Flipping one path's polarization makes terms coincide at the coupler;
+    the exact sums, cancellations included, agree with the float sums."""
+    s = apply_bs(state, 1)
+    s = apply_hwp45(s, 1, PathLabel.S11)
+    s = apply_path_coupler(s, 1)
+    for t in s.terms:
+        assert abs(t.amplitude - t.exact.to_float()) < 1e-9

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from wfuse.optics import (
+    BranchState,
     PathLabel,
     Polarization,
     RegisterKind,
@@ -281,6 +283,22 @@ def test_project_recyclable_rejects_wrong_states():
     state = build_input_state(2, 2)
     with pytest.raises(ValueError):
         project_recyclable(state)
+
+
+def test_project_recyclable_rejects_unequal_per_position_amplitudes():
+    keep = step1_polarization_gate(build_input_state(3, 4))[0].post_state
+    merged = step2_spatial_gate(keep)[0].post_state
+    drop = step3_polarization_gate(merged)[1].post_state
+    first, second = drop.terms
+    flipped = replace(second, amplitude=-second.amplitude, exact=second.exact.negated())
+    shrunk = replace(
+        second,
+        amplitude=second.amplitude / 2,
+        exact=second.exact.scaled_mag2(Fraction(1, 4)),
+    )
+    for bad in (flipped, shrunk):
+        with pytest.raises(ValueError, match="unequal"):
+            project_recyclable(BranchState((first, bad), 3, 4))
 
 
 # ---------------------------------------------------------------------------
