@@ -2,9 +2,10 @@
 
 Subcommands: fuse (enumerate one fusion's outcome tree), verify (dense
 cross-check sweep), plan (cost tables), error (readout operating point),
-campaign (Monte-Carlo seed consumption).  Exit codes: 0 on success, 1 when
-verification fails, 2 on usage errors, 3 on an internal error (an uncaught
-exception, reported as one ``error: internal:`` line on stderr).
+campaign (Monte-Carlo seed consumption); ``--version`` prints the package
+version.  Exit codes: 0 on success, 1 when verification fails, 2 on usage
+errors, 3 on an internal error (an uncaught exception, reported as one
+``error: internal:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import planner
+from . import __version__, planner
 from .homodyne import discrimination_report
 from .optics import ProbeConfig
 from .oracle import (
@@ -212,6 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wfuse",
         description="simulate and plan loss-free fusion of polarization W states",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

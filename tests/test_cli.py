@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+import wfuse
 from wfuse.cli import main
 
 
@@ -310,12 +311,27 @@ def test_unknown_command_exits_with_usage_error(capsys):
     assert code == 2
 
 
+def test_version_prints_package_version(capsys):
+    code, out, err = run_cli(capsys, ["--version"])
+    assert code == 0
+    assert out == f"wfuse {wfuse.__version__}\n"
+    assert err == ""
+
+
 # sha256 of stdout at fixed arguments.  Stdout is the output contract, so a
 # digest changes only with a deliberate change to that contract.
 STDOUT_SHA256 = {
     "plan": (
         ["plan", "--seed", "2", "--seed", "3", "--max", "250"],
         "8fb2edf3bd209ffb8a452c70cb2eff5e69059ce3e90a3a3a372f80ee36c27653",
+    ),
+    "plan-2000": (
+        ["plan", "--seed", "2", "--seed", "3", "--max", "2000"],
+        "c2f7d9b44013bd98adf3e1cb643de95375b4969ce431c897a454af63ff876ac0",
+    ),
+    "plan-10000": (
+        ["plan", "--seed", "2", "--seed", "3", "--max", "10000"],
+        "e092b5b3fb45d6096b52d22defb470d1c3b8c8a1aa825685c20a59d5dad9ee19",
     ),
     "fuse": (
         ["fuse", "-n", "4", "-m", "3"],

@@ -1,7 +1,8 @@
 """Tests for the resource planner and the sampling campaign.
 
 The dynamic program is validated against a brute-force enumeration of every
-fusion tree reachable from the seed, carried out in exact rational arithmetic.
+fusion tree reachable from the seed, carried out in exact rational arithmetic,
+and against the quadratic exact DP that scores every split in Fractions.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 
 from wfuse.planner import (
     CSV_HEADER,
+    CostEntry,
     CostTable,
     cost_tables_csv,
     optimal_costs,
@@ -52,6 +54,32 @@ def all_tree_costs(seed: int, target: int, limit: int) -> set:
     found = costs(target)
     assert len(found) <= limit
     return set(found)
+
+
+def _reference_costs(seed_size: int, seed_cost, max_size: int) -> dict:
+    """The quadratic exact DP: every fitting (left, right) pair in Fraction
+    arithmetic, choosing by the key (cost, right - left, left)."""
+    seed_cost = Fraction(seed_cost)
+    entries: dict = {}
+    best: dict = {}
+    if seed_size <= max_size:
+        entries[seed_size] = CostEntry(seed_cost, None)
+    for right in range(seed_size, max_size + 1):
+        if right in best and right not in entries:
+            cost, _, k = best[right]
+            entries[right] = CostEntry(cost, (k, right - k))
+        if right not in entries:
+            continue
+        right_cost = entries[right].opt_cost
+        for left, entry in entries.items():
+            size = left + right
+            if left > right or size > max_size:
+                break
+            cost = (entry.opt_cost + right_cost) / ps_qlf(left, right)
+            cand = (cost, right - left, left)
+            if size not in best or cand < best[size]:
+                best[size] = cand
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +194,24 @@ def test_unreachable_sizes_are_absent():
     assert set(table.entries) == {2, 4, 6, 8, 10}
     table3 = optimal_costs(3, Fraction(1), 11)
     assert set(table3.entries) == {3, 6, 9}
+
+
+@pytest.mark.parametrize(
+    "seed_cost",
+    [1, Fraction(3, 2), 0.1, 1e308, 3e-300, Fraction(7, 3)],
+    ids=str,
+)
+@pytest.mark.parametrize("seed", range(2, 8))
+def test_dynamic_program_matches_reference(seed, seed_cost):
+    """The prescreened DP picks the costs and splits of the full exact one.
+
+    A seed cost of 1e308 would overflow a prescreen that scored at the real
+    seed cost, and sizes would drop out of the table.
+    """
+    for max_size in (1, seed, 2 * seed, 97, 300):
+        table = optimal_costs(seed, seed_cost, max_size)
+        expected = _reference_costs(seed, seed_cost, max_size)
+        assert table.entries == expected, (seed, seed_cost, max_size)
 
 
 def test_max_size_below_seed_yields_empty_table():
