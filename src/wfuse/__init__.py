@@ -14,10 +14,8 @@ from .optics import (
     ExactAmp,
     FusionTerm,
     PathLabel,
-    PhotonState,
     Polarization,
     ProbeConfig,
-    RegisterContent,
     RegisterKind,
     apply_bs,
     apply_hwp45,

@@ -76,18 +76,18 @@ def _verify_case(n: int, m: int, inject_fault: bool):
         corrupted[hot] = -corrupted[hot]
         success_vec = DenseState(q, corrupted)
     fid_success = min(
-        fidelity(success_vec, make_w_state(q)).value,
-        fidelity(success_vec, dense.success_state).value,
+        fidelity(success_vec, make_w_state(q)),
+        fidelity(success_vec, dense.success_state),
     )
 
     pair_vec = expand_symbolic(tree.leaf(LeafKind.RECYCLABLE_PAIR).state)
-    fid_pair = fidelity(pair_vec, dense.pair_state).value
+    fid_pair = fidelity(pair_vec, dense.pair_state)
 
     merged_vec = expand_symbolic(tree.leaf(LeafKind.RECYCLABLE_MERGED).state)
     expected_merged = embed_register_state(
         dense.merged_kept_state.amplitudes, n, m, True, True
     )
-    fid_merged = fidelity(merged_vec, expected_merged).value
+    fid_merged = fidelity(merged_vec, expected_merged)
 
     dprob = max(
         abs(tree.leaf(LeafKind.SUCCESS).probability - dense.success_probability),
@@ -162,11 +162,16 @@ def cmd_plan(args) -> int:
     except OverflowError:
         _err("costs overflow a float; lower --seed-cost")
         return 2
-    sys.stdout.write(csv_text)
     if args.out:
+        # written before stdout, so a failed write leaves no partial output
         out = Path(args.out)
-        out.write_text(csv_text)
-        out.with_suffix(".dat").write_text(plot_data(tables))
+        try:
+            out.write_text(csv_text)
+            out.with_suffix(".dat").write_text(plot_data(tables))
+        except OSError as exc:
+            _err(f"cannot write {exc.filename}: {exc.strerror}")
+            return 2
+    sys.stdout.write(csv_text)
     return 0
 
 

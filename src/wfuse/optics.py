@@ -1,11 +1,18 @@
 """Term algebra for the optical fusion pipeline.
 
-A state is a finite superposition over a small structured basis: the kept
-register of each party, the polarization and path of the two traveling
-photons, and an integer probe phase recorded in half-angle units.  The
-optical elements (polarization- and path-conditioned Kerr media, beam
-splitters, half-wave plates, path couplers, the path swap) act term by term
-and are all pure functions returning a new canonicalized state.
+A state is a finite superposition over a small structured basis: the kind of
+each party's kept register, the polarization and path of the two traveling
+photons, and an integer probe phase recorded in half-angle units.  The kept
+registers pass through every element unchanged, so their photon counts are
+not stored per term: party A's register always holds n-1 photons and party
+B's m-1, read from the state.  The optical elements (polarization- and
+path-conditioned Kerr media, beam splitters, half-wave plates, path
+couplers, the path swap) act term by term and are all pure functions
+returning a new canonicalized state.
+
+A term is one flat record whose first seven fields are its basis key.  That
+key both merges coinciding terms and orders them: the enums are string
+mixins, so the key hashes and sorts as plain strings and an integer.
 
 Every amplitude in the pipeline has the form sign*sqrt(q) with q rational,
 so each term carries it twice: as a real float and as that exact signed
@@ -17,12 +24,11 @@ raises rather than degrading to the float alone.
 from __future__ import annotations
 
 import cmath
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +40,7 @@ MAX_ABS_PROBE_PHASE = 4
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-class Polarization(Enum):
+class Polarization(str, Enum):
     H = "H"
     V = "V"
 
@@ -42,7 +48,7 @@ class Polarization(Enum):
         return Polarization.V if self is Polarization.H else Polarization.H
 
 
-class PathLabel(Enum):
+class PathLabel(str, Enum):
     UNSPLIT = "unsplit"
     S11 = "s11"
     S12 = "s12"
@@ -55,37 +61,11 @@ PHOTON1_PATHS = (PathLabel.UNSPLIT, PathLabel.S11, PathLabel.S12)
 PHOTON2_PATHS = (PathLabel.UNSPLIT, PathLabel.S21, PathLabel.S22)
 
 
-class RegisterKind(Enum):
-    ALL_HORIZONTAL = "all-horizontal"
-    W_STATE = "w-state"
-
-
-@dataclass(frozen=True)
-class RegisterContent:
+class RegisterKind(str, Enum):
     """Kept modes of one party: either uniformly horizontal or a W state."""
 
-    kind: RegisterKind
-    photon_count: int
-
-    def __post_init__(self) -> None:
-        if self.photon_count < 0:
-            raise ValueError("register photon count must be non-negative")
-        if self.kind is RegisterKind.W_STATE and self.photon_count < 1:
-            raise ValueError("a W register holds at least one photon")
-
-    @staticmethod
-    def all_horizontal(count: int) -> "RegisterContent":
-        return RegisterContent(RegisterKind.ALL_HORIZONTAL, count)
-
-    @staticmethod
-    def w_state(count: int) -> "RegisterContent":
-        return RegisterContent(RegisterKind.W_STATE, count)
-
-
-@dataclass(frozen=True)
-class PhotonState:
-    pol: Polarization
-    path: PathLabel
+    ALL_HORIZONTAL = "all-horizontal"
+    W_STATE = "w-state"
 
 
 @dataclass(frozen=True)
@@ -132,45 +112,29 @@ def add_exact(a: ExactAmp, b: ExactAmp) -> ExactAmp:
     return ExactAmp(bigger.sign, a.mag2 + b.mag2 - 2 * cross)
 
 
-@dataclass(frozen=True)
-class FusionTerm:
+class FusionTerm(NamedTuple):
     """One basis component of a pipeline state.
 
+    The first seven fields are the basis key (see ``key``); the register
+    fields hold only the kind, since the sizes come from the state.
     ``probe_phase`` counts the probe's accumulated phase in half-angle
     units, so a physical shift of one full Kerr angle is recorded as 2.
     """
 
-    amplitude: float
-    reg_a: RegisterContent
-    reg_b: RegisterContent
-    photon1: PhotonState
-    photon2: PhotonState
+    reg_a: RegisterKind
+    reg_b: RegisterKind
+    pol1: Polarization
+    path1: PathLabel
+    pol2: Polarization
+    path2: PathLabel
     probe_phase: int
+    amplitude: float
     exact: ExactAmp
 
-    def __post_init__(self) -> None:
-        if self.photon1.path not in PHOTON1_PATHS:
-            raise ValueError(f"photon 1 cannot occupy path {self.photon1.path.value}")
-        if self.photon2.path not in PHOTON2_PATHS:
-            raise ValueError(f"photon 2 cannot occupy path {self.photon2.path.value}")
-        if abs(self.probe_phase) > MAX_ABS_PROBE_PHASE:
-            raise ValueError("probe phase outside the protocol range")
-
-    def merge_key(self):
-        return (self.reg_a, self.reg_b, self.photon1, self.photon2, self.probe_phase)
-
-    def sort_key(self):
-        return (
-            self.reg_a.kind.value,
-            self.reg_b.kind.value,
-            self.photon1.pol.value,
-            self.photon1.path.value,
-            self.photon2.pol.value,
-            self.photon2.path.value,
-            self.probe_phase,
-            self.reg_a.photon_count,
-            self.reg_b.photon_count,
-        )
+    @property
+    def key(self) -> tuple:
+        """Basis key: merges coinciding terms and gives the canonical order."""
+        return self[:7]
 
 
 @dataclass(frozen=True)
@@ -191,126 +155,120 @@ class BranchState:
 def make_branch_state(
     terms: Iterable[FusionTerm], n_party_a: int, m_party_b: int
 ) -> BranchState:
-    """Merge duplicate keys, drop exactly vanished terms, sort, check norm."""
-    # a dict keeps first-insertion order, which the stable sort below relies on
-    merged: dict = {}
+    """Merge duplicate keys, check every key, drop exactly vanished terms,
+    sort by key, check the norm."""
+    merged: dict[tuple, FusionTerm] = {}
     for term in terms:
-        key = term.merge_key()
+        key = term.key
         prev = merged.get(key)
         if prev is not None:
-            term = replace(
-                prev,
+            term = prev._replace(
                 amplitude=prev.amplitude + term.amplitude,
                 exact=add_exact(prev.exact, term.exact),
             )
         merged[key] = term
-    kept = [t for t in merged.values() if t.exact.mag2 != 0]
-    kept.sort(key=FusionTerm.sort_key)
+    for term in merged.values():
+        if term.path1 not in PHOTON1_PATHS:
+            raise ValueError(f"photon 1 cannot occupy path {term.path1.value}")
+        if term.path2 not in PHOTON2_PATHS:
+            raise ValueError(f"photon 2 cannot occupy path {term.path2.value}")
+        if abs(term.probe_phase) > MAX_ABS_PROBE_PHASE:
+            raise ValueError("probe phase outside the protocol range")
+    # keys are unique now, so comparing whole terms never reaches an amplitude
+    kept = sorted(t for t in merged.values() if t.exact.mag2 != 0)
     state = BranchState(tuple(kept), n_party_a, m_party_b)
     if state.norm_squared() > 1.0 + NORM_EPS:
         raise ValueError("state norm exceeds 1")
     return state
 
 
-def _check_photon_idx(photon_idx: int) -> None:
-    if photon_idx not in (1, 2):
-        raise ValueError(f"photon index must be 1 or 2, got {photon_idx!r}")
-
-
-def _get_photon(term: FusionTerm, photon_idx: int) -> PhotonState:
-    return term.photon1 if photon_idx == 1 else term.photon2
-
-
-def _set_photon(term: FusionTerm, photon_idx: int, photon: PhotonState) -> FusionTerm:
+def _photon_fields(photon_idx: int) -> tuple[str, str]:
+    """Names of the polarization and path fields of photon 1 or 2."""
     if photon_idx == 1:
-        return replace(term, photon1=photon)
-    return replace(term, photon2=photon)
+        return "pol1", "path1"
+    if photon_idx == 2:
+        return "pol2", "path2"
+    raise ValueError(f"photon index must be 1 or 2, got {photon_idx!r}")
 
 
 def _rebuild(state: BranchState, terms: Iterable[FusionTerm]) -> BranchState:
     return make_branch_state(terms, state.n_party_a, state.m_party_b)
 
 
+def _shift_probe_where(
+    state: BranchState, field: str, value: Enum, shift_half_theta: int
+) -> BranchState:
+    """Advance the probe phase on every term whose field holds value."""
+    out = [
+        t._replace(probe_phase=t.probe_phase + shift_half_theta)
+        if getattr(t, field) is value
+        else t
+        for t in state.terms
+    ]
+    return _rebuild(state, out)
+
+
 def cross_kerr_on_polarization(
     state: BranchState, photon_idx: int, pol: Polarization, shift_half_theta: int
 ) -> BranchState:
     """Advance the probe phase on every term whose photon has polarization pol."""
-    _check_photon_idx(photon_idx)
-    out = []
-    for term in state.terms:
-        if _get_photon(term, photon_idx).pol is pol:
-            term = replace(term, probe_phase=term.probe_phase + shift_half_theta)
-        out.append(term)
-    return _rebuild(state, out)
+    pol_field, _ = _photon_fields(photon_idx)
+    return _shift_probe_where(state, pol_field, pol, shift_half_theta)
 
 
 def cross_kerr_on_path(
     state: BranchState, photon_idx: int, path: PathLabel, shift_half_theta: int
 ) -> BranchState:
     """Advance the probe phase on every term whose photon travels on path."""
-    _check_photon_idx(photon_idx)
-    out = []
-    for term in state.terms:
-        if _get_photon(term, photon_idx).path is path:
-            term = replace(term, probe_phase=term.probe_phase + shift_half_theta)
-        out.append(term)
-    return _rebuild(state, out)
+    _, path_field = _photon_fields(photon_idx)
+    return _shift_probe_where(state, path_field, path, shift_half_theta)
 
 
 def probe_linear_shift(state: BranchState, shift_half_theta: int) -> BranchState:
     """Displace the probe phase uniformly on all terms."""
     out = [
-        replace(t, probe_phase=t.probe_phase + shift_half_theta) for t in state.terms
+        t._replace(probe_phase=t.probe_phase + shift_half_theta) for t in state.terms
     ]
     return _rebuild(state, out)
 
 
 def apply_bs(state: BranchState, photon_idx: int) -> BranchState:
     """Split an unsplit photon over its two paths with weight 1/sqrt(2) each."""
-    _check_photon_idx(photon_idx)
+    _, path_field = _photon_fields(photon_idx)
     first, second = (
         (PathLabel.S11, PathLabel.S12) if photon_idx == 1 else (PathLabel.S21, PathLabel.S22)
     )
     out = []
     for term in state.terms:
-        photon = _get_photon(term, photon_idx)
-        if photon.path is not PathLabel.UNSPLIT:
+        if getattr(term, path_field) is not PathLabel.UNSPLIT:
             raise ValueError("photon is already split")
-        amp = term.amplitude * _INV_SQRT2
-        exact = term.exact.scaled_mag2(Fraction(1, 2))
-        for path in (first, second):
-            out.append(
-                _set_photon(
-                    replace(term, amplitude=amp, exact=exact),
-                    photon_idx,
-                    PhotonState(photon.pol, path),
-                )
-            )
+        half = term._replace(
+            amplitude=term.amplitude * _INV_SQRT2,
+            exact=term.exact.scaled_mag2(Fraction(1, 2)),
+        )
+        out.append(half._replace(**{path_field: first}))
+        out.append(half._replace(**{path_field: second}))
     return _rebuild(state, out)
 
 
 def apply_hwp45(state: BranchState, photon_idx: int, path: PathLabel) -> BranchState:
     """Flip the photon's polarization on the given path (sigma-x there)."""
-    _check_photon_idx(photon_idx)
+    pol_field, path_field = _photon_fields(photon_idx)
     out = []
     for term in state.terms:
-        photon = _get_photon(term, photon_idx)
-        if photon.path is path:
-            term = _set_photon(term, photon_idx, PhotonState(photon.pol.flipped(), path))
+        if getattr(term, path_field) is path:
+            term = term._replace(**{pol_field: getattr(term, pol_field).flipped()})
         out.append(term)
     return _rebuild(state, out)
 
 
 def apply_path_coupler(state: BranchState, photon_idx: int) -> BranchState:
     """Erase the photon's path label; coinciding terms sum without rescaling."""
-    _check_photon_idx(photon_idx)
+    _, path_field = _photon_fields(photon_idx)
     out = []
     for term in state.terms:
-        photon = _get_photon(term, photon_idx)
-        if photon.path is not PathLabel.UNSPLIT:
-            term = _set_photon(
-                term, photon_idx, PhotonState(photon.pol, PathLabel.UNSPLIT)
-            )
+        if getattr(term, path_field) is not PathLabel.UNSPLIT:
+            term = term._replace(**{path_field: PathLabel.UNSPLIT})
         out.append(term)
     return _rebuild(state, out)
 
@@ -320,11 +278,8 @@ def apply_swap(state: BranchState) -> BranchState:
     exchange = {PathLabel.S21: PathLabel.S22, PathLabel.S22: PathLabel.S21}
     out = []
     for term in state.terms:
-        path = term.photon2.path
-        if path in exchange:
-            term = replace(
-                term, photon2=PhotonState(term.photon2.pol, exchange[path])
-            )
+        if term.path2 in exchange:
+            term = term._replace(path2=exchange[term.path2])
         out.append(term)
     return _rebuild(state, out)
 
@@ -334,7 +289,7 @@ def normalize_global_phase(state: BranchState) -> BranchState:
     if not state.terms or state.terms[0].amplitude > 0:
         return state
     out = [
-        replace(t, amplitude=-t.amplitude, exact=t.exact.negated())
+        t._replace(amplitude=-t.amplitude, exact=t.exact.negated())
         for t in state.terms
     ]
     return _rebuild(state, out)
@@ -364,24 +319,20 @@ def round_sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def term_to_json_obj(term: FusionTerm) -> dict:
-    return {
-        "re": round_sig12(term.amplitude),
-        "im": 0.0,
-        "regA": {"kind": term.reg_a.kind.value, "count": term.reg_a.photon_count},
-        "regB": {"kind": term.reg_b.kind.value, "count": term.reg_b.photon_count},
-        "p1": {"pol": term.photon1.pol.value, "path": term.photon1.path.value},
-        "p2": {"pol": term.photon2.pol.value, "path": term.photon2.path.value},
-        "k": term.probe_phase,
-    }
-
-
 def state_to_json_obj(state: BranchState) -> list:
-    return [term_to_json_obj(t) for t in state.terms]
-
-
-def state_to_json(state: BranchState) -> str:
-    return json.dumps(state_to_json_obj(state), indent=2)
+    count_a, count_b = state.n_party_a - 1, state.m_party_b - 1
+    return [
+        {
+            "re": round_sig12(t.amplitude),
+            "im": 0.0,
+            "regA": {"kind": t.reg_a.value, "count": count_a},
+            "regB": {"kind": t.reg_b.value, "count": count_b},
+            "p1": {"pol": t.pol1.value, "path": t.path1.value},
+            "p2": {"pol": t.pol2.value, "path": t.path2.value},
+            "k": t.probe_phase,
+        }
+        for t in state.terms
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -54,25 +54,20 @@ def make_w_state(n: int) -> DenseState:
     return DenseState(n, amps)
 
 
-@dataclass(frozen=True)
-class FidelityResult:
-    value: float
-
-
-def fidelity(a: DenseState, b: DenseState) -> FidelityResult:
+def fidelity(a: DenseState, b: DenseState) -> float:
     if a.qubit_count != b.qubit_count:
         raise ValueError("qubit counts differ")
     ip = np.vdot(a.amplitudes, b.amplitudes)
-    return FidelityResult(float(abs(ip) ** 2))
+    return float(abs(ip) ** 2)
 
 
-def _register_patterns(reg):
-    """(bit pattern, amplitude) pairs for one kept register."""
-    if reg.kind is RegisterKind.ALL_HORIZONTAL:
+def _register_patterns(kind: RegisterKind, count: int):
+    """(bit pattern, amplitude) pairs for one kept register of count modes."""
+    if kind is RegisterKind.ALL_HORIZONTAL:
         yield 0, 1.0
     else:
-        amp = 1.0 / np.sqrt(reg.photon_count)
-        for j in range(reg.photon_count):
+        amp = 1.0 / np.sqrt(count)
+        for j in range(count):
             yield 1 << j, amp
 
 
@@ -88,19 +83,17 @@ def expand_symbolic(state: BranchState) -> DenseState:
         raise ValueError(f"{q} qubits exceed the dense limit {MAX_QUBITS}")
     amps = np.zeros(2**q, dtype=complex)
     for term in state.terms:
-        if term.photon1.path is not PathLabel.UNSPLIT:
+        if term.path1 is not PathLabel.UNSPLIT:
             raise ValueError("photon 1 is still split")
-        if term.photon2.path is not PathLabel.UNSPLIT:
+        if term.path2 is not PathLabel.UNSPLIT:
             raise ValueError("photon 2 is still split")
         if term.probe_phase != 0:
             raise ValueError("probe phase is not reset")
-        if term.reg_a.photon_count != n - 1 or term.reg_b.photon_count != m - 1:
-            raise ValueError("register sizes do not match the party sizes")
-        bit1 = 1 if term.photon1.pol.value == "V" else 0
-        bit2 = 1 if term.photon2.pol.value == "V" else 0
+        bit1 = 1 if term.pol1.value == "V" else 0
+        bit2 = 1 if term.pol2.value == "V" else 0
         base = (bit1 << (n - 1)) | (bit2 << (q - 1))
-        for pat_a, amp_a in _register_patterns(term.reg_a):
-            for pat_b, amp_b in _register_patterns(term.reg_b):
+        for pat_a, amp_a in _register_patterns(term.reg_a, n - 1):
+            for pat_b, amp_b in _register_patterns(term.reg_b, m - 1):
                 idx = base | pat_a | (pat_b << n)
                 amps[idx] += term.amplitude * amp_a * amp_b
     return DenseState(q, amps)

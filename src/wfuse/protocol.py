@@ -26,9 +26,7 @@ from .optics import (
     ExactAmp,
     FusionTerm,
     PathLabel,
-    PhotonState,
     Polarization,
-    RegisterContent,
     RegisterKind,
     apply_bs,
     apply_hwp45,
@@ -138,7 +136,8 @@ def build_input_state(n: int, m: int) -> BranchState:
     """Tensor product of W_n and W_m, written in kept-register form.
 
     The four components follow from peeling the last photon off each W
-    state; a single-photon W register is the lone vertical photon.
+    state; a single-photon W register is the lone vertical photon.  The
+    kept registers hold n-1 and m-1 photons, which the state records.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -149,24 +148,23 @@ def build_input_state(n: int, m: int) -> BranchState:
     def term(reg_a, reg_b, pol1, pol2, weight):
         exact = ExactAmp(1, Fraction(weight, nm))
         return FusionTerm(
-            exact.to_float(),
-            reg_a,
-            reg_b,
-            PhotonState(pol1, PathLabel.UNSPLIT),
-            PhotonState(pol2, PathLabel.UNSPLIT),
-            0,
-            exact,
+            reg_a=reg_a,
+            reg_b=reg_b,
+            pol1=pol1,
+            path1=PathLabel.UNSPLIT,
+            pol2=pol2,
+            path2=PathLabel.UNSPLIT,
+            probe_phase=0,
+            amplitude=exact.to_float(),
+            exact=exact,
         )
 
-    all_h_a = RegisterContent.all_horizontal(n - 1)
-    all_h_b = RegisterContent.all_horizontal(m - 1)
-    w_a = RegisterContent.w_state(n - 1)
-    w_b = RegisterContent.w_state(m - 1)
+    all_h, w = RegisterKind.ALL_HORIZONTAL, RegisterKind.W_STATE
     terms = [
-        term(all_h_a, all_h_b, Polarization.V, Polarization.V, 1),
-        term(w_a, all_h_b, Polarization.H, Polarization.V, n - 1),
-        term(all_h_a, w_b, Polarization.V, Polarization.H, m - 1),
-        term(w_a, w_b, Polarization.H, Polarization.H, (n - 1) * (m - 1)),
+        term(all_h, all_h, Polarization.V, Polarization.V, 1),
+        term(w, all_h, Polarization.H, Polarization.V, n - 1),
+        term(all_h, w, Polarization.V, Polarization.H, m - 1),
+        term(w, w, Polarization.H, Polarization.H, (n - 1) * (m - 1)),
     ]
     return make_branch_state(terms, n, m)
 
@@ -193,8 +191,7 @@ def homodyne_measure(state: BranchState) -> list[MeasurementBranch]:
         scale = 1.0 / math.sqrt(prob)
         rescale_exact = 1 / prob_exact
         post_terms = [
-            replace(
-                t,
+            t._replace(
                 amplitude=t.amplitude * scale,
                 probe_phase=0,
                 exact=t.exact.scaled_mag2(rescale_exact),
@@ -272,7 +269,8 @@ def project_recyclable(state: BranchState) -> LeafClassification:
 
     Projecting both photons onto vertical leaves the kept registers in a
     merged W state of n+m-2 photons; the check asserts equal per-position
-    amplitudes across the two register patterns.
+    amplitudes across the two register patterns, whose W registers hold n-1
+    and m-1 photons.
     """
     n, m = state.n_party_a, state.m_party_b
     if not state.terms:
@@ -280,13 +278,13 @@ def project_recyclable(state: BranchState) -> LeafClassification:
     seen = set()
     per_position = set()
     for t in state.terms:
-        if t.photon1.pol is not Polarization.V or t.photon2.pol is not Polarization.V:
+        if t.pol1 is not Polarization.V or t.pol2 is not Polarization.V:
             raise ValueError("photons are not all vertical")
-        regs = (t.reg_a.kind, t.reg_b.kind)
+        regs = (t.reg_a, t.reg_b)
         if regs == (RegisterKind.W_STATE, RegisterKind.ALL_HORIZONTAL):
-            count = t.reg_a.photon_count
+            count = n - 1
         elif regs == (RegisterKind.ALL_HORIZONTAL, RegisterKind.W_STATE):
-            count = t.reg_b.photon_count
+            count = m - 1
         else:
             raise ValueError("unexpected register pattern for a merged W state")
         seen.add(regs)

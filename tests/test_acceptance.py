@@ -103,7 +103,7 @@ def test_criterion_3_success_state_and_amplitude():
     for n, m in ORACLE_GRID:
         tree = run_fusion(n, m)
         vec = expand_symbolic(tree.leaf(LeafKind.SUCCESS).state)
-        fid = fidelity(vec, make_w_state(n + m)).value
+        fid = fidelity(vec, make_w_state(n + m))
         assert fid >= 1.0 - FID_TOL, f"(n={n}, m={m}) fidelity {fid}"
 
         keep1 = _stage_branch(tree, "polarization-gate-1", 1)
@@ -141,14 +141,14 @@ def test_criterion_4_recyclable_branches():
         tree = run_fusion(n, m)
         dense = brute_force_pipeline(n, m)
         pair_vec = expand_symbolic(tree.leaf(LeafKind.RECYCLABLE_PAIR).state)
-        assert fidelity(pair_vec, dense.pair_state).value >= 1.0 - FID_TOL
+        assert fidelity(pair_vec, dense.pair_state) >= 1.0 - FID_TOL
         merged_vec = expand_symbolic(tree.leaf(LeafKind.RECYCLABLE_MERGED).state)
         expect = embed_register_state(
             dense.merged_kept_state.amplitudes, n, m, True, True
         )
-        assert fidelity(merged_vec, expect).value >= 1.0 - FID_TOL
+        assert fidelity(merged_vec, expect) >= 1.0 - FID_TOL
         kept = dense.merged_kept_state
-        assert fidelity(kept, make_w_state(n + m - 2)).value >= 1.0 - FID_TOL
+        assert fidelity(kept, make_w_state(n + m - 2)) >= 1.0 - FID_TOL
     print(
         "PASS criterion 4: recyclable leaf probabilities, register contents, "
         f"and unit leaf sum within {ABS_TOL:g}"

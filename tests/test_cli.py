@@ -128,6 +128,16 @@ def test_plan_writes_output_files(tmp_path, capsys):
     assert plot.startswith("# scheme=qlf seed=2")
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_plan_unwritable_out_exits_2_before_stdout(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, ["plan", "--max", "8", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert len(err.splitlines()) == 1
+
+
 def test_plan_unreachable_seed_notes_on_stderr(capsys):
     code, out, err = run_cli(capsys, ["plan", "--seed", "7", "--max", "6"])
     assert code == 0

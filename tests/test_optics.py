@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +16,9 @@ from wfuse.optics import (
     ExactAmp,
     FusionTerm,
     PathLabel,
-    PhotonState,
     Polarization,
     ProbeConfig,
-    RegisterContent,
+    RegisterKind,
     add_exact,
     apply_bs,
     apply_hwp45,
@@ -35,7 +33,6 @@ from wfuse.optics import (
     phase_shift_matrix,
     probe_linear_shift,
     round_sig12,
-    state_to_json,
     state_to_json_obj,
     two_photon_routing_matrix,
 )
@@ -46,21 +43,24 @@ ABS_TOL = 1e-12
 H = Polarization.H
 V = Polarization.V
 UNSPLIT = PathLabel.UNSPLIT
+ALL_H = RegisterKind.ALL_HORIZONTAL
 
 
 ONE = ExactAmp(1, Fraction(1))
 
 
-def make_term(pol1, pol2, exact, k=0, path1=UNSPLIT, path2=UNSPLIT, reg_b=None):
+def make_term(pol1, pol2, exact, k=0, path1=UNSPLIT, path2=UNSPLIT, reg_b=ALL_H):
     """A term whose float amplitude is derived from its exact one."""
     return FusionTerm(
-        exact.to_float(),
-        RegisterContent.all_horizontal(1),
-        reg_b or RegisterContent.all_horizontal(1),
-        PhotonState(pol1, path1),
-        PhotonState(pol2, path2),
-        k,
-        exact,
+        reg_a=ALL_H,
+        reg_b=reg_b,
+        pol1=pol1,
+        path1=path1,
+        pol2=pol2,
+        path2=path2,
+        probe_phase=k,
+        amplitude=exact.to_float(),
+        exact=exact,
     )
 
 
@@ -69,10 +69,7 @@ def single_term_state(pol1, pol2, exact=ONE, k=0, path1=UNSPLIT, path2=UNSPLIT):
 
 
 def terms_by_pols(state):
-    return {
-        (t.photon1.pol, t.photon2.pol): t
-        for t in state.terms
-    }
+    return {(t.pol1, t.pol2): t for t in state.terms}
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +140,12 @@ def test_probe_phase_range_enforced():
         single_term_state(H, V, k=5)
 
 
+def test_photon_path_range_enforced():
+    # photon 1 may only use its own split paths
+    with pytest.raises(ValueError):
+        single_term_state(H, V, path1=PathLabel.S21)
+
+
 # ---------------------------------------------------------------------------
 # path elements
 # ---------------------------------------------------------------------------
@@ -152,7 +155,7 @@ def test_bs_splits_with_equal_weights():
     state = single_term_state(V, V)
     out = apply_bs(state, 1)
     assert len(out.terms) == 2
-    paths = {t.photon1.path for t in out.terms}
+    paths = {t.path1 for t in out.terms}
     assert paths == {PathLabel.S11, PathLabel.S12}
     for t in out.terms:
         assert abs(t.amplitude - 1 / math.sqrt(2)) < ABS_TOL
@@ -163,7 +166,7 @@ def test_bs_on_both_photons_gives_four_paths():
     state = single_term_state(V, V)
     out = apply_bs(apply_bs(state, 1), 2)
     assert len(out.terms) == 4
-    combos = {(t.photon1.path, t.photon2.path) for t in out.terms}
+    combos = {(t.path1, t.path2) for t in out.terms}
     assert combos == {
         (p1, p2)
         for p1 in (PathLabel.S11, PathLabel.S12)
@@ -182,9 +185,9 @@ def test_bs_rejects_split_photon():
 def test_hwp_flips_on_matching_path_only():
     state = single_term_state(H, V, path1=PathLabel.S11)
     out = apply_hwp45(state, 1, PathLabel.S11)
-    assert out.terms[0].photon1.pol is V
+    assert out.terms[0].pol1 is V
     out = apply_hwp45(state, 1, PathLabel.S12)
-    assert out.terms[0].photon1.pol is H
+    assert out.terms[0].pol1 is H
 
 
 def test_hwp_is_an_involution():
@@ -207,7 +210,7 @@ def test_coupler_merges_amplitudes_without_rescale():
     assert len(out.terms) == 1
     assert abs(out.terms[0].amplitude - 0.7) < ABS_TOL
     assert out.terms[0].exact == ExactAmp(1, Fraction(49, 100))
-    assert out.terms[0].photon1.path is UNSPLIT
+    assert out.terms[0].path1 is UNSPLIT
 
 
 def test_coupler_drops_destructive_terms():
@@ -228,8 +231,7 @@ def test_bs_then_coupler_preserves_polarization_content():
     base = build_input_state(2, 2)
     halved = make_branch_state(
         [
-            replace(
-                t,
+            t._replace(
                 amplitude=t.amplitude / math.sqrt(2),
                 exact=t.exact.scaled_mag2(Fraction(1, 2)),
             )
@@ -242,14 +244,14 @@ def test_bs_then_coupler_preserves_polarization_content():
     # same polarization structure, uniform sqrt(2) scale from the eraser
     assert len(back.terms) == len(halved.terms)
     for a, b in zip(back.terms, halved.terms):
-        assert a.merge_key() == b.merge_key()
+        assert a.key == b.key
         assert abs(a.amplitude - math.sqrt(2) * b.amplitude) < ABS_TOL
 
 
 def test_swap_exchanges_photon2_paths_and_is_involution():
     state = single_term_state(V, V, path2=PathLabel.S21)
     out = apply_swap(state)
-    assert out.terms[0].photon2.path is PathLabel.S22
+    assert out.terms[0].path2 is PathLabel.S22
     assert apply_swap(out) == state
 
 
@@ -291,7 +293,7 @@ def test_normalize_global_phase_flips_negative_lead():
     state = build_input_state(2, 2)
     negated = make_branch_state(
         [
-            replace(t, amplitude=-t.amplitude, exact=t.exact.negated())
+            t._replace(amplitude=-t.amplitude, exact=t.exact.negated())
             for t in state.terms
         ],
         2,
@@ -323,13 +325,6 @@ def test_merge_outside_exact_form_raises():
 def test_norm_cap_enforced():
     with pytest.raises(ValueError):
         single_term_state(H, V, ExactAmp(1, Fraction(121, 100)))
-
-
-def test_register_content_validation():
-    with pytest.raises(ValueError):
-        RegisterContent.w_state(0)
-    with pytest.raises(ValueError):
-        RegisterContent.all_horizontal(-1)
 
 
 def test_probe_config_validation():
@@ -370,7 +365,7 @@ def test_state_serialization_shape_and_determinism():
         assert set(entry) == {"re", "im", "regA", "regB", "p1", "p2", "k"}
         assert set(entry["regA"]) == {"kind", "count"}
         assert set(entry["p1"]) == {"pol", "path"}
-    assert state_to_json(state) == state_to_json(build_input_state(3, 2))
+    assert doc == state_to_json_obj(build_input_state(3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +409,7 @@ def random_states(draw, merging=False):
             pol2,
             ExactAmp(1 if w > 0 else -1, Fraction(w * w, total)),
             k,
-            reg_b=RegisterContent.w_state(1) if pol1 is H and not merging else None,
+            reg_b=RegisterKind.W_STATE if pol1 is H and not merging else ALL_H,
         )
         for (pol1, pol2, k), w in zip(keys, weights)
     ]
@@ -453,10 +448,9 @@ def test_split_gate_erase_preserves_norm(state):
 @given(random_states())
 def test_canonical_states_have_unique_keys(state):
     out = apply_bs(cross_kerr_on_polarization(state, 1, V, 1), 2)
-    keys = [t.merge_key() for t in out.terms]
+    keys = [t.key for t in out.terms]
     assert len(keys) == len(set(keys))
-    ordered = [t.sort_key() for t in out.terms]
-    assert ordered == sorted(ordered)
+    assert keys == sorted(keys)
 
 
 @settings(max_examples=60, deadline=None)

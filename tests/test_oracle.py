@@ -75,20 +75,20 @@ def test_dense_state_requires_normalization():
 
 def test_fidelity_of_identical_states_is_one():
     w = make_w_state(4)
-    assert abs(fidelity(w, w).value - 1.0) < FID_TOL
+    assert abs(fidelity(w, w) - 1.0) < FID_TOL
 
 
 def test_fidelity_of_orthogonal_states_is_zero():
     a = DenseState(1, np.array([1.0, 0.0], dtype=complex))
     b = DenseState(1, np.array([0.0, 1.0], dtype=complex))
-    assert fidelity(a, b).value < FID_TOL
+    assert fidelity(a, b) < FID_TOL
 
 
 def test_fidelity_sign_flipped_w3():
     w3 = make_w_state(3)
     flipped = w3.amplitudes.copy()
     flipped[0b100] = -flipped[0b100]
-    assert abs(fidelity(w3, DenseState(3, flipped)).value - 1 / 9) < FID_TOL
+    assert abs(fidelity(w3, DenseState(3, flipped)) - 1 / 9) < FID_TOL
 
 
 def test_fidelity_rejects_size_mismatch():
@@ -168,7 +168,7 @@ def test_brute_force_probabilities_sum_to_one(n, m):
 def test_success_leaf_expands_to_w(n, m):
     tree = run_fusion(n, m)
     dense = expand_symbolic(tree.leaf(LeafKind.SUCCESS).state)
-    assert abs(fidelity(dense, make_w_state(n + m)).value - 1.0) < FID_TOL
+    assert abs(fidelity(dense, make_w_state(n + m)) - 1.0) < FID_TOL
 
 
 @pytest.mark.parametrize("n,m", GRID)
@@ -177,7 +177,7 @@ def test_pair_leaf_expands_to_w_product(n, m):
     dense = expand_symbolic(tree.leaf(LeafKind.RECYCLABLE_PAIR).state)
     kept = np.kron(make_w_state(m - 1).amplitudes, make_w_state(n - 1).amplitudes)
     expected = embed_register_state(kept, n, m, False, False)
-    assert abs(fidelity(dense, expected).value - 1.0) < FID_TOL
+    assert abs(fidelity(dense, expected) - 1.0) < FID_TOL
 
 
 @pytest.mark.parametrize("n,m", GRID)
@@ -187,7 +187,7 @@ def test_merged_leaf_expands_to_smaller_w(n, m):
     expected = embed_register_state(
         make_w_state(n + m - 2).amplitudes, n, m, True, True
     )
-    assert abs(fidelity(dense, expected).value - 1.0) < FID_TOL
+    assert abs(fidelity(dense, expected) - 1.0) < FID_TOL
 
 
 @pytest.mark.parametrize("n,m", GRID)
@@ -205,14 +205,14 @@ def test_brute_force_matches_symbolic_probabilities(n, m):
 @pytest.mark.parametrize("n,m", GRID)
 def test_brute_force_states_match_constructions(n, m):
     res = brute_force_pipeline(n, m)
-    assert abs(fidelity(res.success_state, make_w_state(n + m)).value - 1.0) < FID_TOL
+    assert abs(fidelity(res.success_state, make_w_state(n + m)) - 1.0) < FID_TOL
     assert (
-        abs(fidelity(res.merged_kept_state, make_w_state(n + m - 2)).value - 1.0)
+        abs(fidelity(res.merged_kept_state, make_w_state(n + m - 2)) - 1.0)
         < FID_TOL
     )
     kept = np.kron(make_w_state(m - 1).amplitudes, make_w_state(n - 1).amplitudes)
     expected_pair = embed_register_state(kept, n, m, False, False)
-    assert abs(fidelity(res.pair_state, expected_pair).value - 1.0) < FID_TOL
+    assert abs(fidelity(res.pair_state, expected_pair) - 1.0) < FID_TOL
 
 
 def test_brute_force_rejects_bad_sizes():
