@@ -5,9 +5,6 @@ from .homodyne import (
     class_mean,
     discrimination_report,
     p_error,
-    phase_correction,
-    sample_outcome,
-    sample_outcomes,
 )
 from .optics import (
     BranchState,

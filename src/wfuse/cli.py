@@ -167,7 +167,11 @@ def cmd_plan(args) -> int:
         out = Path(args.out)
         try:
             out.write_text(csv_text)
-            out.with_suffix(".dat").write_text(plot_data(tables))
+            try:
+                out.with_suffix(".dat").write_text(plot_data(tables))
+            except OSError:
+                out.unlink()  # the .csv is kept only next to its .dat
+                raise
         except OSError as exc:
             _err(f"cannot write {exc.filename}: {exc.strerror}")
             return 2

@@ -11,12 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .optics import ProbeConfig, round_sig12
 from .protocol import PhaseClass
 
-_TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
 
 # phase classes the protocol can ask the readout to separate
@@ -34,27 +31,6 @@ def p_error(probe: ProbeConfig, class_a: PhaseClass, class_b: PhaseClass) -> flo
         raise ValueError("phase classes must be distinct")
     separation = abs(class_mean(probe, class_a) - class_mean(probe, class_b))
     return 0.5 * math.erfc(separation / (2.0 * _SQRT2))
-
-
-def phase_correction(x: float, probe: ProbeConfig) -> float:
-    """Corrector phase applied to horizontal components after a readout x."""
-    half = probe.theta / 2.0
-    value = 2.0 * probe.alpha * math.sin(half) * (x - 2.0 * probe.alpha * math.cos(half))
-    return value % _TWO_PI
-
-
-def sample_outcome(probe: ProbeConfig, phase_class: PhaseClass, rng_seed: int) -> float:
-    """One seeded draw of the quadrature outcome."""
-    rng = np.random.default_rng(rng_seed)
-    return float(rng.normal(class_mean(probe, phase_class), 1.0))
-
-
-def sample_outcomes(
-    probe: ProbeConfig, phase_class: PhaseClass, count: int, rng_seed: int
-) -> np.ndarray:
-    """Vectorized counterpart of sample_outcome for statistics."""
-    rng = np.random.default_rng(rng_seed)
-    return rng.normal(class_mean(probe, phase_class), 1.0, size=count)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ Everything here works on explicit 2**q amplitude vectors with a fixed qubit
 ordering: party A's kept modes, photon 1, party B's kept modes, photon 2,
 encoded H -> 0, V -> 1 with qubit i on bit i of the index.  The brute-force
 pipeline re-runs the whole protocol in this representation, modeling the
-homodyne classes as orthogonal probe sectors, and never touches the
-symbolic term algebra, so agreement between the two is an independent
-check rather than a tautology.
+homodyne classes as orthogonal probe sectors.  Its state maps each live
+(path1, path2, probe phase) slice to one such vector, where a path is 0
+while the photon is unsplit and 1 or 2 on its two split paths.  It never
+touches the symbolic term algebra, so agreement between the two is an
+independent check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -18,14 +20,8 @@ import numpy as np
 from .optics import BranchState, PathLabel, RegisterKind
 from .protocol import LeafClassification, LeafKind
 
-MAX_QUBITS = 14
+MAX_QUBITS = 20
 NORM_TOL = 1e-10
-
-# probe sector axis: integer phases -4..+4 stored at offset +4
-_K_OFF = 4
-_K_DIM = 9
-# path axis values per photon: not-split, first split path, second split path
-_UNSPLIT, _FIRST, _SECOND = 0, 1, 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +95,16 @@ def expand_symbolic(state: BranchState) -> DenseState:
     return DenseState(q, amps)
 
 
+def _kept_index(n: int, m: int) -> np.ndarray:
+    """Full index of each kept-register index, with both photon bits clear.
+
+    A kept-register index holds party A's n-1 modes in its low bits and
+    party B's m-1 modes above them.
+    """
+    kept = np.arange(2 ** (n + m - 2))
+    return (kept & ((1 << (n - 1)) - 1)) | ((kept >> (n - 1)) << n)
+
+
 def embed_register_state(
     kept: np.ndarray, n: int, m: int, pol1_v: bool, pol2_v: bool
 ) -> DenseState:
@@ -106,12 +112,7 @@ def embed_register_state(
     q = n + m
     amps = np.zeros(2**q, dtype=complex)
     base = (int(pol1_v) << (n - 1)) | (int(pol2_v) << (q - 1))
-    low_mask = (1 << (n - 1)) - 1
-    for idx in range(len(kept)):
-        if kept[idx] == 0:
-            continue
-        full = base | (idx & low_mask) | ((idx >> (n - 1)) << n)
-        amps[full] = kept[idx]
+    amps[_kept_index(n, m) | base] = kept
     return DenseState(q, amps)
 
 
@@ -129,79 +130,65 @@ class DensePipelineResult:
     merged_kept_state: DenseState
 
 
-def _sector_probability(psi: np.ndarray, ks: tuple[int, ...]) -> float:
-    return float(sum(np.sum(np.abs(psi[..., _K_OFF + k]) ** 2) for k in ks))
-
-
-def _collapse_sectors(psi: np.ndarray, ks: tuple[int, ...], prob: float) -> np.ndarray:
-    """Project onto the given probe sectors, renormalize, reset the probe.
-
-    Amplitude never occupies two sectors of one group for the same basis
-    element here, so summing the sectors is a plain relabeling.
-    """
-    out = np.zeros_like(psi)
-    acc = np.zeros(psi.shape[:-1], dtype=complex)
-    for k in ks:
-        acc += psi[..., _K_OFF + k]
-    out[..., _K_OFF] = acc / np.sqrt(prob)
+def _collect(items) -> dict:
+    """Sum the vectors of (key, vector) items that share a key."""
+    out = {}
+    for key, vec in items:
+        out[key] = out[key] + vec if key in out else vec
     return out
 
 
+def _kerr(state: dict, shift: np.ndarray) -> dict:
+    """Cross-Kerr gate: move each basis element's probe phase by shift[index]."""
+    masks = [(int(s), shift == s) for s in np.unique(shift)]
+    return _collect(
+        ((p1, p2, k + s), np.where(mask, vec, 0))
+        for (p1, p2, k), vec in state.items()
+        for s, mask in masks
+    )
+
+
+def _measure(state: dict, ks: tuple[int, ...]) -> tuple[float, dict]:
+    """Readout outcome covering the probe sectors ks.
+
+    Returns its probability and the renormalized post-state with the probe
+    reset; slices that then share a path pair are summed.  Within one
+    outcome no basis element occupies two sectors, so that sum relabels.
+    """
+    hits = [(key, vec) for key, vec in state.items() if key[2] in ks]
+    prob = float(sum(np.sum(np.abs(vec) ** 2) for _, vec in hits))
+    post = _collect(((p1, p2, 0), vec) for (p1, p2, _), vec in hits)
+    return prob, {key: vec / np.sqrt(prob) for key, vec in post.items()}
+
+
 def brute_force_pipeline(n: int, m: int) -> DensePipelineResult:
-    """Re-run the whole protocol on dense vectors with explicit path and
-    probe axes and report every leaf probability and state."""
+    """Re-run the whole protocol on dense vectors, one per live (path1,
+    path2, probe phase) slice, and report every leaf probability and state."""
     if n < 2 or m < 2:
         raise ValueError("party sizes must be >= 2")
     q = n + m
     if q > MAX_QUBITS:
         raise ValueError(f"{q} qubits exceed the dense limit {MAX_QUBITS}")
-    dim = 2**q
-    idx = np.arange(dim)
+    idx = np.arange(2**q)
     bit1 = (idx >> (n - 1)) & 1
     bit2 = (idx >> (q - 1)) & 1
-
-    # input product state: psi[pol, path1, path2, k]
-    psi = np.zeros((dim, 3, 3, _K_DIM), dtype=complex)
-    psi[:, _UNSPLIT, _UNSPLIT, _K_OFF] = np.kron(
-        make_w_state(m).amplitudes, make_w_state(n).amplitudes
-    )
+    unsplit = (0, 0, 0)
 
     # ---- first polarization gate ----
-    shift1 = -2 * ((1 - bit1) + (1 - bit2)) + 1
-    stage = np.zeros_like(psi)
-    for s in (-3, -1, 1):
-        mask = shift1 == s
-        stage[mask, :, :, _K_OFF + s] = psi[mask, :, :, _K_OFF]
-    p_keep1 = _sector_probability(stage, (-1, 1))
-    p_pair = _sector_probability(stage, (-3,))
-    pair_branch = _collapse_sectors(stage, (-3,), p_pair)
-    pair_state = DenseState(
-        q, pair_branch[:, _UNSPLIT, _UNSPLIT, _K_OFF].copy()
-    )
-    psi = _collapse_sectors(stage, (-1, 1), p_keep1)
+    product = np.kron(make_w_state(m).amplitudes, make_w_state(n).amplitudes)
+    stage = _kerr({unsplit: product}, -2 * ((1 - bit1) + (1 - bit2)) + 1)
+    p_keep1, psi = _measure(stage, (-1, 1))
+    p_pair, pair_branch = _measure(stage, (-3,))
+    pair_state = DenseState(q, pair_branch[unsplit])
 
-    # ---- path gate ----
-    split = np.zeros_like(psi)
-    for p1 in (_FIRST, _SECOND):
-        for p2 in (_FIRST, _SECOND):
-            split[:, p1, p2, :] = psi[:, _UNSPLIT, _UNSPLIT, :] / 2.0
-    stage = np.zeros_like(split)
-    for p1, p2, s in (
-        (_FIRST, _FIRST, 0),
-        (_FIRST, _SECOND, 2),
-        (_SECOND, _FIRST, -2),
-        (_SECOND, _SECOND, 0),
-    ):
-        stage[:, p1, p2, _K_OFF + s] = split[:, p1, p2, _K_OFF]
-    p_zero = _sector_probability(stage, (0,))
-    p_two = _sector_probability(stage, (-2, 2))
-
-    spatial_branches = []
-    zero_branch = _collapse_sectors(stage, (0,), p_zero)
-    spatial_branches.append((p_zero, zero_branch))
-    swapped = _collapse_sectors(stage, (-2, 2), p_two)
-    swapped = swapped[:, :, (_UNSPLIT, _SECOND, _FIRST), :]
-    spatial_branches.append((p_two, swapped))
+    # ---- path gate: each photon splits evenly over its paths 1 and 2 ----
+    half = psi[unsplit] / 2.0
+    stage = {(1, 1, 0): half, (1, 2, 2): half, (2, 1, -2): half, (2, 2, 0): half}
+    p_zero, zero_branch = _measure(stage, (0,))
+    p_two, two_branch = _measure(stage, (-2, 2))
+    # the swap exchanges photon 2's split paths
+    swapped = {(p1, 3 - p2, k): vec for (p1, p2, k), vec in two_branch.items()}
+    spatial_branches = [(p_zero, zero_branch), (p_two, swapped)]
 
     flip1 = idx ^ (1 << (n - 1))
     flip2 = idx ^ (1 << (q - 1))
@@ -210,59 +197,42 @@ def brute_force_pipeline(n: int, m: int) -> DensePipelineResult:
     success_probability = 0.0
     merged_probability = 0.0
     success_state = None
-    merged_kept_state = None
     for p_branch, branch in spatial_branches:
-        # half-wave plates on one split path of each photon
-        plated = branch.copy()
-        plated[:, _FIRST, :, :] = branch[flip1, _FIRST, :, :]
-        tmp = plated.copy()
-        plated[:, :, _SECOND, :] = tmp[flip2, :, _SECOND, :]
+        plated = []
+        for (p1, p2, k), vec in branch.items():
+            # half-wave plates on one split path of each photon
+            if p1 == 1:
+                vec = vec[flip1]
+            if p2 == 2:
+                vec = vec[flip2]
+            plated.append(((0, 0, k), vec))
         # couplers erase both path labels
-        merged = np.zeros_like(plated)
-        acc = np.zeros((dim, _K_DIM), dtype=complex)
-        for p1 in (_FIRST, _SECOND):
-            for p2 in (_FIRST, _SECOND):
-                acc += plated[:, p1, p2, :]
-        merged[:, _UNSPLIT, _UNSPLIT, :] = acc
-        norm = float(np.sum(np.abs(merged) ** 2))
+        merged = _collect(plated)
+        norm = float(sum(np.sum(np.abs(vec) ** 2) for vec in merged.values()))
         if abs(norm - 1.0) > NORM_TOL:
             raise RuntimeError("path couplers failed to conserve the norm")
 
         # ---- second polarization gate ----
-        stage = np.zeros_like(merged)
-        for s in (-3, -1, 1):
-            mask = shift3 == s
-            stage[mask, :, :, _K_OFF + s] = merged[mask, :, :, _K_OFF]
-        p_succ = _sector_probability(stage, (-1, 1))
-        p_merge = _sector_probability(stage, (-3,))
+        stage = _kerr(merged, shift3)
+        p_succ, succ = _measure(stage, (-1, 1))
+        p_merge, merge = _measure(stage, (-3,))
         success_probability += p_keep1 * p_branch * p_succ
         merged_probability += p_keep1 * p_branch * p_merge
 
-        succ = _collapse_sectors(stage, (-1, 1), p_succ)
-        succ_vec = succ[:, _UNSPLIT, _UNSPLIT, _K_OFF].copy()
-        if success_state is None:
-            success_state = DenseState(q, succ_vec)
-        merge = _collapse_sectors(stage, (-3,), p_merge)
-        merge_vec = merge[:, _UNSPLIT, _UNSPLIT, _K_OFF]
-        if merged_kept_state is None:
-            both_v = (bit1 == 1) & (bit2 == 1)
-            if float(np.sum(np.abs(merge_vec[~both_v]) ** 2)) > NORM_TOL:
+        if success_state is None:  # leaf states come from the first branch
+            success_state = DenseState(q, succ[unsplit])
+            merge_vec = merge[unsplit]
+            kept = merge_vec[_kept_index(n, m) | (1 << (n - 1)) | (1 << (q - 1))]
+            kept_norm = np.sum(np.abs(kept) ** 2)
+            if float(np.sum(np.abs(merge_vec) ** 2) - kept_norm) > NORM_TOL:
                 raise RuntimeError("merged branch has non-vertical photons")
-            kept = np.zeros(2 ** (q - 2), dtype=complex)
-            low_mask = (1 << (n - 1)) - 1
-            mid_mask = (1 << (m - 1)) - 1
-            src = np.nonzero(both_v)[0]
-            dst = (src & low_mask) | (((src >> n) & mid_mask) << (n - 1))
-            kept[dst] = merge_vec[src]
-            kept /= np.sqrt(np.sum(np.abs(kept) ** 2))
-            merged_kept_state = DenseState(q - 2, kept)
+            merged_kept_state = DenseState(q - 2, kept / np.sqrt(kept_norm))
 
-    pair_probability = p_pair
     return DensePipelineResult(
         n,
         m,
         success_probability,
-        pair_probability,
+        p_pair,
         merged_probability,
         success_state,
         pair_state,

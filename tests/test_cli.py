@@ -83,9 +83,11 @@ def test_verify_detects_injected_fault(capsys):
 
 
 def test_verify_rejects_out_of_range_max(capsys):
-    code, out, err = run_cli(capsys, ["verify", "--max", "30"])
-    assert code == 2
-    assert "--max" in err
+    for bad in ("21", "30"):
+        code, out, err = run_cli(capsys, ["verify", "--max", bad])
+        assert code == 2
+        assert out == ""
+        assert "--max" in err
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +138,17 @@ def test_plan_unwritable_out_exits_2_before_stdout(tmp_path, capsys, where):
     assert out == ""
     assert err.startswith(f"error: cannot write {target}")
     assert len(err.splitlines()) == 1
+
+
+def test_plan_unwritable_dat_leaves_no_csv(tmp_path, capsys):
+    (tmp_path / "x.dat").mkdir()
+    target = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, ["plan", "--max", "8", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {tmp_path / 'x.dat'}")
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
 
 
 def test_plan_unreachable_seed_notes_on_stderr(capsys):
@@ -353,7 +366,7 @@ STDOUT_SHA256 = {
     ),
     "verify": (
         ["verify"],
-        "e745aab010d34db0cd6e7aafa7e8cdaf38772a61c7011339fe2732fd6e8582fc",
+        "cde3494cf8c932823a09c66ace6cc546719ea9ba680f7f84748bc374f6025a75",
     ),
     "campaign-recycling": (
         ["campaign", "--target", "8", "--trials", "1000", "--recycling", "--rng", "7"],

@@ -1,27 +1,17 @@
 """Tests for the quadrature readout model.
 
 The error-probability formula is cross-checked against direct numerical
-integration of the two Gaussian densities, and the corrector phase against
-arbitrary-precision evaluation.
+integration of the two Gaussian densities.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
-import numpy as np
 import pytest
 from scipy import integrate
 
-from wfuse.homodyne import (
-    class_mean,
-    discrimination_report,
-    p_error,
-    phase_correction,
-    sample_outcome,
-    sample_outcomes,
-)
+from wfuse.homodyne import class_mean, discrimination_report, p_error
 from wfuse.optics import ProbeConfig
 from wfuse.protocol import PhaseClass
 
@@ -105,78 +95,6 @@ def test_pair_separations_rank_the_protocol_tasks():
     )
     assert sep(C0, C2) < sep(C1, C3)
     assert p_error(OPERATING_POINT, C0, C2) > p_error(OPERATING_POINT, C1, C3)
-
-
-# ---------------------------------------------------------------------------
-# corrector phase
-# ---------------------------------------------------------------------------
-
-
-def test_phase_correction_zero_at_reference_point():
-    x_ref = 2 * 90000.0 * math.cos(0.005)
-    assert phase_correction(x_ref, OPERATING_POINT) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_phase_correction_matches_high_precision():
-    mpmath.mp.dps = 50
-    alpha, theta = 90000.0, 0.01
-    for offset in (1.0, -2.5, 7.25):
-        x = 2 * alpha * math.cos(theta / 2) + offset
-        got = phase_correction(x, OPERATING_POINT)
-        half = mpmath.mpf(theta) / 2
-        exact = (
-            2 * mpmath.mpf(alpha) * mpmath.sin(half)
-            * (mpmath.mpf(x) - 2 * mpmath.mpf(alpha) * mpmath.cos(half))
-        ) % (2 * mpmath.pi)
-        assert abs(got - float(exact)) < 1e-8
-
-
-def test_phase_correction_periodicity():
-    period = 2 * math.pi / (2 * 90000.0 * math.sin(0.005))
-    x = 2 * 90000.0 * math.cos(0.005) + 0.4
-    a = phase_correction(x, OPERATING_POINT)
-    b = phase_correction(x + period, OPERATING_POINT)
-    diff = min(abs(a - b), 2 * math.pi - abs(a - b))
-    assert diff < 1e-7
-
-
-def test_phase_correction_range():
-    for x in np.linspace(179000.0, 181000.0, 17):
-        value = phase_correction(float(x), OPERATING_POINT)
-        assert 0.0 <= value < 2 * math.pi
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-
-def test_sample_outcome_is_deterministic_per_seed():
-    a = sample_outcome(OPERATING_POINT, C1, 1234)
-    b = sample_outcome(OPERATING_POINT, C1, 1234)
-    c = sample_outcome(OPERATING_POINT, C1, 1235)
-    assert a == b
-    assert a != c
-
-
-def test_sample_mean_converges_to_class_mean():
-    draws = sample_outcomes(OPERATING_POINT, C2, 100_000, 7)
-    assert abs(draws.mean() - class_mean(OPERATING_POINT, C2)) < 0.02
-
-
-def test_empirical_misclassification_tracks_p_error():
-    # a soft operating point where errors are common enough to count
-    probe = ProbeConfig(1600.0, 0.05)
-    pe = p_error(probe, C0, C2)
-    assert 1e-4 < pe < 0.1
-    count = 400_000
-    threshold = 0.5 * (class_mean(probe, C0) + class_mean(probe, C2))
-    lo_draws = sample_outcomes(probe, C2, count, 11)
-    hi_draws = sample_outcomes(probe, C0, count, 12)
-    errors = int(np.sum(lo_draws > threshold)) + int(np.sum(hi_draws < threshold))
-    observed = errors / (2 * count)
-    sigma = math.sqrt(pe * (1 - pe) / (2 * count))
-    assert abs(observed - pe) < 3 * sigma
 
 
 # ---------------------------------------------------------------------------

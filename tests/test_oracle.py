@@ -3,7 +3,10 @@ symbolic pipeline."""
 
 from __future__ import annotations
 
+import ast
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from wfuse.oracle import (
     fidelity,
     make_w_state,
 )
+from wfuse.planner import p_pair, ps_qlf
 from wfuse.protocol import LeafKind, build_input_state, run_fusion
 
 FID_TOL = 1e-10
@@ -58,7 +62,7 @@ def test_w_state_size_limits():
     with pytest.raises(ValueError):
         make_w_state(0)
     with pytest.raises(ValueError):
-        make_w_state(15)
+        make_w_state(21)
 
 
 def test_dense_state_requires_normalization():
@@ -219,4 +223,39 @@ def test_brute_force_rejects_bad_sizes():
     with pytest.raises(ValueError):
         brute_force_pipeline(1, 2)
     with pytest.raises(ValueError):
-        brute_force_pipeline(8, 8)
+        brute_force_pipeline(11, 10)
+
+
+def test_brute_force_at_16_qubits_matches_exact_rates():
+    n, m = 9, 7
+    res = brute_force_pipeline(n, m)
+    assert abs(res.success_probability - float(ps_qlf(n, m))) < 1e-12
+    assert abs(res.pair_probability - float(p_pair(n, m))) < 1e-12
+    merged_rate = Fraction(n + m - 2, 2 * n * m)
+    assert abs(res.merged_probability - float(merged_rate)) < 1e-12
+    assert fidelity(res.success_state, make_w_state(n + m)) >= 1.0 - FID_TOL
+
+
+def test_oracle_imports_nothing_of_the_term_algebra():
+    """The oracle checks the symbolic pipeline only while it shares no code
+    with it: it may read a branch state and name the leaves, nothing more."""
+    source = Path(__file__).parents[1] / "src" / "wfuse" / "oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.split(".")[0] == "wfuse"
+        ):
+            imported |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {
+                (alias.name, None)
+                for alias in node.names
+                if alias.name.split(".")[0] == "wfuse"
+            }
+    assert imported == {
+        ("optics", "BranchState"),
+        ("optics", "PathLabel"),
+        ("optics", "RegisterKind"),
+        ("protocol", "LeafClassification"),
+        ("protocol", "LeafKind"),
+    }
