@@ -5,7 +5,8 @@ cross-check sweep), plan (cost tables), error (readout operating point),
 campaign (Monte-Carlo seed consumption); ``--version`` prints the package
 version.  Exit codes: 0 on success, 1 when verification fails, 2 on usage
 errors, 3 on an internal error (an uncaught exception, reported as one
-``error: internal:`` line on stderr).
+``error: internal:`` line on stderr), 141 when the reader closes stdout early
+(as a shell reports a tool killed by SIGPIPE; nothing goes to stderr).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ DEFAULT_ALPHA = 90000.0
 DEFAULT_THETA = 0.01
 SEED_ENV_VAR = "WFUSE_SEED"
 FIDELITY_TOL = 1e-10
+EXIT_BROKEN_PIPE = 141
 
 
 def _err(message: str) -> None:
@@ -276,7 +278,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so a closed pipe is caught below and not left to the
+        # interpreter's exit flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, which is no fault of this program; what
+        # is still buffered goes to devnull, so the exit flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except Exception as exc:
         # one line, so stderr stays parseable; the innermost frame says where
         where = traceback.extract_tb(exc.__traceback__)[-1]

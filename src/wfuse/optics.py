@@ -15,10 +15,10 @@ key both merges coinciding terms and orders them: the enums are string
 mixins, so the key hashes and sorts as plain strings and an integer.
 
 Every amplitude in the pipeline has the form sign*sqrt(q) with q rational,
-so each term carries it twice: as a real float and as that exact signed
-square root.  The exact track is what lets the pipeline report branch
-probabilities as exact fractions; a sum of amplitudes that leaves the form
-raises rather than degrading to the float alone.
+so each term stores only that exact signed square root; its real float is
+derived from it on demand.  The exact form is what lets the pipeline report
+branch probabilities as exact fractions; a sum of amplitudes that leaves the
+form raises rather than degrading to a rounded float.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ class ExactAmp:
         return ExactAmp(-self.sign, self.mag2)
 
     def to_float(self) -> float:
-        return self.sign * math.sqrt(self.mag2)
+        # int / int is the same correctly rounded value as float(mag2), cheaper
+        return self.sign * math.sqrt(self.mag2.numerator / self.mag2.denominator)
 
 
 def add_exact(a: ExactAmp, b: ExactAmp) -> ExactAmp:
@@ -128,13 +129,17 @@ class FusionTerm(NamedTuple):
     pol2: Polarization
     path2: PathLabel
     probe_phase: int
-    amplitude: float
     exact: ExactAmp
 
     @property
     def key(self) -> tuple:
         """Basis key: merges coinciding terms and gives the canonical order."""
         return self[:7]
+
+    @property
+    def amplitude(self) -> float:
+        """Real float amplitude, derived from the exact one."""
+        return self.exact.to_float()
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,9 @@ class BranchState:
     m_party_b: int
 
     def norm_squared(self) -> float:
-        return sum(t.amplitude**2 for t in self.terms)
+        return sum(
+            t.exact.mag2.numerator / t.exact.mag2.denominator for t in self.terms
+        )
 
     def norm_squared_exact(self) -> Fraction:
         return sum((t.exact.mag2 for t in self.terms), Fraction(0))
@@ -162,10 +169,7 @@ def make_branch_state(
         key = term.key
         prev = merged.get(key)
         if prev is not None:
-            term = prev._replace(
-                amplitude=prev.amplitude + term.amplitude,
-                exact=add_exact(prev.exact, term.exact),
-            )
+            term = prev._replace(exact=add_exact(prev.exact, term.exact))
         merged[key] = term
     for term in merged.values():
         if term.path1 not in PHOTON1_PATHS:
@@ -242,10 +246,7 @@ def apply_bs(state: BranchState, photon_idx: int) -> BranchState:
     for term in state.terms:
         if getattr(term, path_field) is not PathLabel.UNSPLIT:
             raise ValueError("photon is already split")
-        half = term._replace(
-            amplitude=term.amplitude * _INV_SQRT2,
-            exact=term.exact.scaled_mag2(Fraction(1, 2)),
-        )
+        half = term._replace(exact=term.exact.scaled_mag2(Fraction(1, 2)))
         out.append(half._replace(**{path_field: first}))
         out.append(half._replace(**{path_field: second}))
     return _rebuild(state, out)
@@ -286,12 +287,9 @@ def apply_swap(state: BranchState) -> BranchState:
 
 def normalize_global_phase(state: BranchState) -> BranchState:
     """Make the leading canonical amplitude positive."""
-    if not state.terms or state.terms[0].amplitude > 0:
+    if not state.terms or state.terms[0].exact.sign > 0:
         return state
-    out = [
-        t._replace(amplitude=-t.amplitude, exact=t.exact.negated())
-        for t in state.terms
-    ]
+    out = [t._replace(exact=t.exact.negated()) for t in state.terms]
     return _rebuild(state, out)
 
 

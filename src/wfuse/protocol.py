@@ -3,10 +3,10 @@
 The pipeline takes the tensor product of two W states (sizes n, m >= 2),
 runs the polarization-conditioned probe gate, the path-conditioned probe
 gate, and a second polarization-conditioned gate, and enumerates every
-measurement branch.  Every amplitude is a real float next to its exact
-signed square root, so every probability is carried both as a float and as
-an exact fraction; leaves are classified as the fused W state, a recyclable
-pair of shrunken W states, or a recyclable merged W state.
+measurement branch.  Every amplitude is an exact signed square root, so
+every probability is stored as an exact fraction and its float is derived
+from it; leaves are classified as the fused W state, a recyclable pair of
+shrunken W states, or a recyclable merged W state.
 
 Homodyne readout is idealized here: branches are grouped by the absolute
 probe phase, the measurement-induced relative phase inside a group is taken
@@ -16,7 +16,6 @@ noisy readout model lives in a separate module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -41,8 +40,6 @@ from .optics import (
     state_to_json_obj,
 )
 
-PROB_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class PhaseClass:
@@ -58,10 +55,14 @@ class PhaseClass:
 @dataclass(frozen=True)
 class MeasurementBranch:
     phase_class: PhaseClass
-    probability: float
     probability_exact: Fraction
     post_state: BranchState
     label: str
+
+    @property
+    def probability(self) -> float:
+        """Float probability, the exact one correctly rounded."""
+        return float(self.probability_exact)
 
 
 class LeafKind(Enum):
@@ -79,9 +80,13 @@ class LeafClassification:
 @dataclass(frozen=True)
 class OutcomeLeaf:
     classification: LeafClassification
-    probability: float
     probability_exact: Fraction
     state: BranchState
+
+    @property
+    def probability(self) -> float:
+        """Float probability, the exact one correctly rounded."""
+        return float(self.probability_exact)
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,6 @@ def build_input_state(n: int, m: int) -> BranchState:
     nm = n * m
 
     def term(reg_a, reg_b, pol1, pol2, weight):
-        exact = ExactAmp(1, Fraction(weight, nm))
         return FusionTerm(
             reg_a=reg_a,
             reg_b=reg_b,
@@ -155,8 +159,7 @@ def build_input_state(n: int, m: int) -> BranchState:
             pol2=pol2,
             path2=PathLabel.UNSPLIT,
             probe_phase=0,
-            amplitude=exact.to_float(),
-            exact=exact,
+            exact=ExactAmp(1, Fraction(weight, nm)),
         )
 
     all_h, w = RegisterKind.ALL_HORIZONTAL, RegisterKind.W_STATE
@@ -182,31 +185,23 @@ def homodyne_measure(state: BranchState) -> list[MeasurementBranch]:
     for t in state.terms:
         groups.setdefault(abs(t.probe_phase), []).append(t)
     branches = []
-    total = 0.0
+    total = Fraction(0)
     for abs_k in sorted(groups):
         members = groups[abs_k]
-        prob = sum(t.amplitude**2 for t in members)
+        prob = sum((t.exact.mag2 for t in members), Fraction(0))
         total += prob
-        prob_exact = sum((t.exact.mag2 for t in members), Fraction(0))
-        scale = 1.0 / math.sqrt(prob)
-        rescale_exact = 1 / prob_exact
+        rescale = 1 / prob
         post_terms = [
-            t._replace(
-                amplitude=t.amplitude * scale,
-                probe_phase=0,
-                exact=t.exact.scaled_mag2(rescale_exact),
-            )
+            t._replace(probe_phase=0, exact=t.exact.scaled_mag2(rescale))
             for t in members
         ]
         post = normalize_global_phase(
             make_branch_state(post_terms, state.n_party_a, state.m_party_b)
         )
         branches.append(
-            MeasurementBranch(
-                PhaseClass(abs_k), prob, prob_exact, post, f"phase-class-{abs_k}"
-            )
+            MeasurementBranch(PhaseClass(abs_k), prob, post, f"phase-class-{abs_k}")
         )
-    if abs(total - 1.0) > 1e-9:
+    if total != 1:
         raise ValueError("homodyne requires a normalized state")
     return branches
 
@@ -299,8 +294,8 @@ def project_recyclable(state: BranchState) -> LeafClassification:
 def run_fusion(n: int, m: int) -> OutcomeTree:
     """Run the full pipeline and collect stages and classified leaves.
 
-    Leaf probabilities are cumulative from the root and sum to one; the
-    exact fractions are checked against the float track.
+    Leaf probabilities are cumulative from the root, exact, and checked to
+    sum to one.
     """
     state0 = build_input_state(n, m)
     stage1_branches = step1_polarization_gate(state0)
@@ -311,7 +306,6 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
 
     pair_leaf = OutcomeLeaf(
         LeafClassification(LeafKind.RECYCLABLE_PAIR, (n - 1, m - 1)),
-        drop1.probability,
         drop1.probability_exact,
         drop1.post_state,
     )
@@ -328,36 +322,25 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
     drop3 = _branch_by_class(stage3_branches, 3)
     success_state = keep3.post_state
     merged_state = drop3.post_state
-    success_prob = 0.0
-    success_exact = Fraction(0)
-    merged_prob = 0.0
-    merged_exact = Fraction(0)
+    success_prob = Fraction(0)
+    merged_prob = Fraction(0)
     for br2 in stage2_branches:
         stages.append(
             StageRecord(f"polarization-gate-2[via {br2.label}]", stage3_branches)
         )
-        path_prob = keep1.probability * br2.probability
-        success_prob += path_prob * keep3.probability
-        merged_prob += path_prob * drop3.probability
-        path_exact = keep1.probability_exact * br2.probability_exact
-        success_exact += path_exact * keep3.probability_exact
-        merged_exact += path_exact * drop3.probability_exact
+        path_prob = keep1.probability_exact * br2.probability_exact
+        success_prob += path_prob * keep3.probability_exact
+        merged_prob += path_prob * drop3.probability_exact
 
     merged_class = project_recyclable(merged_state)
     success_leaf = OutcomeLeaf(
         LeafClassification(LeafKind.SUCCESS, (n + m,)),
         success_prob,
-        success_exact,
         success_state,
     )
-    merged_leaf = OutcomeLeaf(
-        merged_class, merged_prob, merged_exact, merged_state
-    )
+    merged_leaf = OutcomeLeaf(merged_class, merged_prob, merged_state)
 
     leaves = (success_leaf, pair_leaf, merged_leaf)
-    total = sum(lf.probability for lf in leaves)
-    if abs(total - 1.0) > PROB_EPS:
-        raise RuntimeError(f"leaf probabilities sum to {total}, not 1")
     if sum(lf.probability_exact for lf in leaves) != 1:
         raise RuntimeError("exact leaf probabilities do not sum to 1")
     return OutcomeTree(n, m, tuple(stages), leaves)

@@ -8,11 +8,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import wfuse
 from wfuse.cli import main
+from wfuse.protocol import run_fusion
 
 
 def run_cli(capsys, argv):
@@ -49,6 +55,30 @@ def test_fuse_csv_table(capsys):
     assert lines[2].startswith("recyclable-pair,2+1,")
     assert lines[3].startswith("recyclable-merged,3,")
     assert out.endswith("\n")
+
+
+def test_every_float_is_derived_from_the_exact_track(capsys):
+    """Probabilities, term amplitudes and the CSV cumProb text are the exact
+    values correctly rounded, with no float track of their own."""
+    rng = random.Random(8)
+    pairs = [(n, m) for n in range(2, 25) for m in range(2, 25)]
+    pairs += [(rng.randint(2, 1000), rng.randint(2, 1000)) for _ in range(6)]
+    for n, m in pairs:
+        tree = run_fusion(n, m)
+        branches = [br for st in tree.stages for br in st.branches]
+        for rec in (*tree.leaves, *branches):
+            assert rec.probability == float(rec.probability_exact)
+        states = [lf.state for lf in tree.leaves] + [br.post_state for br in branches]
+        for t in (t for state in states for t in state.terms):
+            assert t.amplitude == t.exact.to_float()
+        code, out, _ = run_cli(
+            capsys, ["fuse", "-n", str(n), "-m", str(m), "--format", "csv"]
+        )
+        assert code == 0
+        cum_probs = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+        assert cum_probs == [
+            f"{float(lf.probability_exact):.12g}" for lf in tree.leaves
+        ]
 
 
 def test_fuse_rejects_single_photon_register(capsys):
@@ -306,6 +336,30 @@ def test_base_exceptions_pass_through_main(monkeypatch):
         main(["fuse", "-n", "3", "-m", "2"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["fuse", "-n", "3", "-m", "2", "--format", "csv"], ["verify", "--max", "6"]],
+    ids=["fuse-csv", "verify"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # a real process whose stdout is a pipe with its read end already closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(wfuse.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wfuse.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
 # ---------------------------------------------------------------------------
 # determinism across repeated invocations
 # ---------------------------------------------------------------------------
@@ -364,9 +418,16 @@ STDOUT_SHA256 = {
         ["fuse", "-n", "500", "-m", "700"],
         "6898522f04e5c5dc40ac9056d85f29a0694d663c28c84005bbf3113ae876068a",
     ),
+    # an amplitude whose exact value lies just above a 12-digit halfway
+    # point and whose nearest double lies just below it: pins that the float
+    # is derived from the exact one
+    "fuse-rounding": (
+        ["fuse", "-n", "192", "-m", "265"],
+        "703aec6229ab64740e7664d5e532fac240420f7dc60c7f7de4ebf1a9547c9d43",
+    ),
     "verify": (
         ["verify"],
-        "cde3494cf8c932823a09c66ace6cc546719ea9ba680f7f84748bc374f6025a75",
+        "23ee3ea0dd18e505df01ffe67ac5fa4b6f2c0a8f2d16da5f265fa9e628b73f22",
     ),
     "campaign-recycling": (
         ["campaign", "--target", "8", "--trials", "1000", "--recycling", "--rng", "7"],

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfuse.optics import (
@@ -50,7 +50,7 @@ ONE = ExactAmp(1, Fraction(1))
 
 
 def make_term(pol1, pol2, exact, k=0, path1=UNSPLIT, path2=UNSPLIT, reg_b=ALL_H):
-    """A term whose float amplitude is derived from its exact one."""
+    """A term with the given exact amplitude."""
     return FusionTerm(
         reg_a=ALL_H,
         reg_b=reg_b,
@@ -59,7 +59,6 @@ def make_term(pol1, pol2, exact, k=0, path1=UNSPLIT, path2=UNSPLIT, reg_b=ALL_H)
         pol2=pol2,
         path2=path2,
         probe_phase=k,
-        amplitude=exact.to_float(),
         exact=exact,
     )
 
@@ -231,10 +230,7 @@ def test_bs_then_coupler_preserves_polarization_content():
     base = build_input_state(2, 2)
     halved = make_branch_state(
         [
-            t._replace(
-                amplitude=t.amplitude / math.sqrt(2),
-                exact=t.exact.scaled_mag2(Fraction(1, 2)),
-            )
+            t._replace(exact=t.exact.scaled_mag2(Fraction(1, 2)))
             for t in base.terms
         ],
         2,
@@ -292,10 +288,7 @@ def test_bs_and_phase_matrices_are_unitary():
 def test_normalize_global_phase_flips_negative_lead():
     state = build_input_state(2, 2)
     negated = make_branch_state(
-        [
-            t._replace(amplitude=-t.amplitude, exact=t.exact.negated())
-            for t in state.terms
-        ],
+        [t._replace(exact=t.exact.negated()) for t in state.terms],
         2,
         2,
     )
@@ -455,11 +448,33 @@ def test_canonical_states_have_unique_keys(state):
 
 @settings(max_examples=60, deadline=None)
 @given(random_states(merging=True))
+@example(  # two keys cancel exactly, one survives
+    make_branch_state(
+        [
+            make_term(H, V, ExactAmp(1, Fraction(1, 4))),
+            make_term(V, V, ExactAmp(-1, Fraction(1, 4))),
+            make_term(H, H, ExactAmp(1, Fraction(1, 4))),
+        ],
+        2,
+        2,
+    )
+)
 def test_exact_track_follows_float_through_merges(state):
-    """Flipping one path's polarization makes terms coincide at the coupler;
-    the exact sums, cancellations included, agree with the float sums."""
+    """Flipping one path's polarization makes terms coincide at the coupler.
+    Each merged exact amplitude, cancellations included, matches a float sum
+    of +-sqrt(q)/sqrt(2) over the input terms that land on its key."""
+    flip = {H: V, V: H}
+    expected: dict[tuple, float] = {}
+    for t in state.terms:
+        half = t.exact.sign * math.sqrt(float(t.exact.mag2)) / math.sqrt(2)
+        # the s12 half keeps its polarization, the s11 half has it flipped
+        for pol1 in (t.pol1, flip[t.pol1]):
+            key = t._replace(pol1=pol1).key
+            expected[key] = expected.get(key, 0.0) + half
+    survivors = {key: amp for key, amp in expected.items() if abs(amp) > 1e-9}
     s = apply_bs(state, 1)
     s = apply_hwp45(s, 1, PathLabel.S11)
     s = apply_path_coupler(s, 1)
+    assert [t.key for t in s.terms] == sorted(survivors)
     for t in s.terms:
-        assert abs(t.amplitude - t.exact.to_float()) < 1e-9
+        assert abs(t.exact.to_float() - survivors[t.key]) < 1e-9
