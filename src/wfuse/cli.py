@@ -192,8 +192,8 @@ def cmd_error(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    if args.target < 2:
-        _err("--target must be >= 2")
+    if not 2 <= args.target <= MAX_PLAN_SIZE:
+        _err(f"--target must be in 2..{MAX_PLAN_SIZE}")
         return 2
     if args.seed_size < 2:
         _err("--seed-size must be >= 2")

@@ -185,35 +185,51 @@ class CampaignResult:
         }
 
 
-def _simulate_trial(
+# uniforms per generator call; the stream read does not depend on it
+UNIFORM_BLOCK = 4096
+
+
+def _uniforms(rng):
+    """The generator's uniforms one at a time, drawn in blocks."""
+    while True:
+        # a memoryview yields Python floats without a list per block
+        yield from memoryview(rng.random(UNIFORM_BLOCK))
+
+
+def _simulate_trials(
     target: int,
     seed_size: int,
-    splits: dict,
-    probs: dict,
+    nodes: dict,
     recycling: bool,
     rng,
-) -> int:
-    seeds_used = 0
+    trials: int,
+) -> np.ndarray:
+    """Seeds consumed by each trial; the trials read one uniform stream in
+    order.  ``nodes`` maps a size to ``(k, r, p_success, p_pair_cut)``, where
+    a uniform below the cut and not below ``p_success`` is a pair failure."""
+    if target == seed_size:
+        return np.ones(trials)
+    draw = _uniforms(rng).__next__
     pool: dict[int, int] = {}
+    seeds = 0
 
     def obtain(size: int) -> None:
-        nonlocal seeds_used
-        if recycling and pool.get(size, 0) > 0:
-            pool[size] -= 1
-            return
-        if size == seed_size:
-            seeds_used += 1
-            return
-        k, r = splits[size]
-        p_success, pair_share = probs[(k, r)]
+        # each part comes from the pool, else a seed, else its own fusion
+        nonlocal seeds
+        k, r, p_success, p_pair_cut = nodes[size]
         while True:
-            obtain(k)
-            obtain(r)
-            u = rng.random()
+            for part in (k, r):
+                if pool.get(part):
+                    pool[part] -= 1
+                elif part == seed_size:
+                    seeds += 1
+                else:
+                    obtain(part)
+            u = draw()
             if u < p_success:
                 return
             if recycling:
-                if u < p_success + pair_share:
+                if u < p_pair_cut:
                     for back in (k - 1, r - 1):
                         if back >= 2:
                             pool[back] = pool.get(back, 0) + 1
@@ -221,8 +237,15 @@ def _simulate_trial(
                     back = k + r - 2
                     pool[back] = pool.get(back, 0) + 1
 
-    obtain(target)
-    return seeds_used
+    counts = np.empty(trials)
+    for t in range(trials):
+        pool.clear()
+        seeds = 0
+        obtain(target)
+        counts[t] = seeds
+    # obtain refers to itself through its closure; leave no cycle behind
+    del obtain
+    return counts
 
 
 def run_campaign(
@@ -236,7 +259,10 @@ def run_campaign(
 
     Follows the dynamic program's best splits; with recycling on, failure
     products of size >= 2 go to a pool that future needs draw from first.
-    Each trial derives its own child seed, so trials are order-independent.
+    One generator, seeded with ``rng_seed``, feeds every trial in order, so
+    which draws a trial reads depends on the trials before it: trials are
+    statistically independent but no longer order-independent.  The output
+    is deterministic for each seed.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -245,21 +271,20 @@ def run_campaign(
         raise ValueError(
             f"size {target_size} is not reachable from seed {seed_size}"
         )
-    splits = {
-        size: e.best_split
-        for size, e in table.entries.items()
-        if e.best_split is not None
-    }
-    probs = {
-        split: (float(ps_qlf(*split)), float(p_pair(*split)))
-        for split in splits.values()
-    }
-    counts = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([rng_seed, t])
-        counts[t] = _simulate_trial(
-            target_size, seed_size, splits, probs, recycling, rng
-        )
+    nodes = {}
+    for size, e in table.entries.items():
+        if e.best_split is not None:
+            p_success = float(ps_qlf(*e.best_split))
+            p_pair_cut = p_success + float(p_pair(*e.best_split))
+            nodes[size] = (*e.best_split, p_success, p_pair_cut)
+    counts = _simulate_trials(
+        target_size,
+        seed_size,
+        nodes,
+        recycling,
+        np.random.default_rng(rng_seed),
+        trials,
+    )
     mean = float(counts.mean())
     std_error = (
         float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None

@@ -271,6 +271,11 @@ def test_campaign_rejects_unreachable_target(capsys):
     assert err.startswith("error:")
 
 
+def test_campaign_target_over_cap_names_the_option(capsys):
+    code, out, err = run_cli(capsys, ["campaign", "--target", "20000"])
+    assert (code, out, err) == (2, "", "error: --target must be in 2..10000\n")
+
+
 def test_bad_seed_environment_only_affects_campaign(capsys, monkeypatch):
     monkeypatch.setenv("WFUSE_SEED", "abc")
     code, _, err = run_cli(capsys, ["fuse", "-n", "2", "-m", "2"])
@@ -299,6 +304,7 @@ def test_bad_seed_environment_only_affects_campaign(capsys, monkeypatch):
         ["plan", "--seed-cost", "1e308", "--max", "8"],
         ["error", "--alpha", "inf"],
         ["error", "--alpha", "1e308"],
+        ["campaign", "--target", "20000"],
     ],
     ids=[
         "plan-max-over-cap",
@@ -307,6 +313,7 @@ def test_bad_seed_environment_only_affects_campaign(capsys, monkeypatch):
         "plan-cost-overflow",
         "error-alpha-inf",
         "error-alpha-overflow",
+        "campaign-target-over-cap",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
@@ -429,9 +436,13 @@ STDOUT_SHA256 = {
         ["verify"],
         "23ee3ea0dd18e505df01ffe67ac5fa4b6f2c0a8f2d16da5f265fa9e628b73f22",
     ),
+    "campaign-plain": (
+        ["campaign", "--target", "8", "--trials", "1000", "--rng", "7"],
+        "68826a7dd80bccca0c94414ad12e0b2103539e7e00d8cdf2f767df3bf391fb41",
+    ),
     "campaign-recycling": (
         ["campaign", "--target", "8", "--trials", "1000", "--recycling", "--rng", "7"],
-        "b31e877e576c350433d33c0ecd3aea42304e0a605d89d5b4059d54de48cd882c",
+        "6cd6e341dd920bab3fe84d2fed09e009920ac6d2977e6228ac9837a45259fab2",
     ),
 }
 

@@ -7,9 +7,12 @@ and against the quadratic exact DP that scores every split in Fractions.
 
 from __future__ import annotations
 
+import gc
+import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from wfuse.planner import (
@@ -298,3 +301,91 @@ def test_campaign_json_shape():
     assert doc["target"] == 4
     assert doc["trials"] == 100
     assert doc["recycling"] is True
+
+
+def exact_plain_moments(target: int, seed_size: int = 2) -> tuple:
+    """Exact mean and variance of the seeds one trial consumes without
+    recycling, along the planner's splits.
+
+    A tree node of size s retries its split (k, r) until success, so its
+    attempts A are geometric with p = ps_qlf(k, r): E A = 1/p and
+    Var A = (1 - p)/p**2.  Each attempt costs Y = X_k + X_r, independent of
+    A and of the other attempts, so by the law of total variance
+    E X_s = E A * E Y and Var X_s = E A * Var Y + Var A * (E Y)**2.
+    """
+    table = optimal_costs(seed_size, Fraction(1), target)
+
+    @lru_cache(maxsize=None)
+    def moments(size: int) -> tuple:
+        split = table.entries[size].best_split
+        if split is None:
+            return Fraction(1), Fraction(0)
+        (mean_k, var_k), (mean_r, var_r) = map(moments, split)
+        p = ps_qlf(*split)
+        mean_a, var_a = 1 / p, (1 - p) / p**2
+        mean_y, var_y = mean_k + mean_r, var_k + var_r
+        return mean_a * mean_y, mean_a * var_y + var_a * mean_y**2
+
+    return moments(target)
+
+
+def test_exact_plain_moments_anchor_values():
+    assert exact_plain_moments(4) == (4, 8)
+    assert exact_plain_moments(8) == (32, 832)
+    assert exact_plain_moments(16) == (512, 242_688)
+    for size in (4, 8, 16, 32):
+        mean, _ = exact_plain_moments(size)
+        assert mean == optimal_costs(2, Fraction(1), size).entries[size].opt_cost
+
+
+def test_plain_campaign_matches_exact_moments():
+    trials = 20_000
+    mean, var = exact_plain_moments(8)
+    exact_se = math.sqrt(var / trials)
+    result = run_campaign(8, 2, trials, recycling=False, rng_seed=43)
+    # 4 exact standard errors: a false failure about once in 16 000 seeds
+    assert abs(result.mean_seeds_consumed - float(mean)) < 4 * exact_se
+    # the kurtosis of X_8 is about 9, so at 20 000 trials the sample standard
+    # error spreads about 1 % around the exact one; 5 % is 5 sigma
+    assert abs(result.std_error / exact_se - 1) < 0.05
+
+
+def test_recycling_campaign_at_target_4_consumes_seven_halves():
+    """Target 4 fuses two seeds with p = 1/2.  A failure is a pair
+    W_1, W_1 (probability 1/4, nothing to recycle) or a merged W_2
+    (probability 1/4, recycled as a seed).  So the pool holds 0 or 1
+    seeds, and from those states a trial needs E0 and E1 more seeds:
+    E0 = 2 + E0/4 + E1/4 and E1 = 1 + E0/4 + E1/4.  Subtracting gives
+    E0 - E1 = 1, so E0 = 7/4 + E0/2 and E0 = 7/2.
+    """
+    result = run_campaign(4, 2, 200_000, recycling=True, rng_seed=41)
+    assert abs(result.mean_seeds_consumed - 3.5) < 4 * result.std_error
+
+
+def test_campaign_at_seed_size_consumes_one_seed():
+    result = run_campaign(2, 2, 5, recycling=True, rng_seed=1)
+    assert (result.mean_seeds_consumed, result.std_error) == (1.0, 0.0)
+
+
+def test_campaign_builds_one_generator(monkeypatch):
+    seeds = []
+    real = np.random.default_rng
+
+    def counting(seed):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    run_campaign(8, 2, 100, recycling=True, rng_seed=3)
+    assert seeds == [3]
+
+
+def test_campaign_leaves_no_garbage_cycle():
+    run_campaign(8, 2, 20, recycling=True, rng_seed=0)
+    gc.collect()
+    gc.disable()
+    try:
+        run_campaign(8, 2, 1000, recycling=True, rng_seed=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
