@@ -60,9 +60,10 @@ def cmd_fuse(args) -> int:
         _print_doc(tree.to_json_obj())
     else:
         print("class,sizes,cumProb")
-        for leaf in tree.to_json_obj()["leaves"]:
-            sizes = "+".join(str(s) for s in leaf["sizes"])
-            print(f"{leaf['class']},{sizes},{leaf['cumProb']:.12g}")
+        for leaf in tree.leaves:
+            cls = leaf.classification
+            sizes = "+".join(str(s) for s in cls.sizes)
+            print(f"{cls.kind.value},{sizes},{leaf.probability:.12g}")
     return 0
 
 

@@ -9,6 +9,16 @@ homodyne classes as orthogonal probe sectors.  Its state maps each live
 while the photon is unsplit and 1 or 2 on its two split paths.  It never
 touches the symbolic term algebra, so agreement between the two is an
 independent check rather than a tautology.
+
+Every vector the oracle builds is real float64.  That is exact, not an
+approximation: every element it models is real.  The Kerr phases become
+orthogonal probe-sector labels, the half-wave plate is a bit flip, the path
+gate halves a vector and the couplers sum slices, and every symbolic
+amplitude is real.  ``DenseState`` and ``fidelity`` accept any dtype
+and never cast: a complex input keeps its imaginary part.  Inner products
+are numpy ufunc reductions rather than ``vdot``, which would hand 2**q
+vectors to a multithreaded BLAS; ``ndarray.conj`` returns a real array
+itself, so a real inner product copies nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ def make_w_state(n: int) -> DenseState:
     """Equal superposition of all single-V computational states."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"W size must be in 1..{MAX_QUBITS}")
-    amps = np.zeros(2**n, dtype=complex)
+    amps = np.zeros(2**n)
     amps[[1 << j for j in range(n)]] = 1.0 / np.sqrt(n)
     return DenseState(n, amps)
 
@@ -53,7 +63,7 @@ def make_w_state(n: int) -> DenseState:
 def fidelity(a: DenseState, b: DenseState) -> float:
     if a.qubit_count != b.qubit_count:
         raise ValueError("qubit counts differ")
-    ip = np.vdot(a.amplitudes, b.amplitudes)
+    ip = np.sum(a.amplitudes.conj() * b.amplitudes)
     return float(abs(ip) ** 2)
 
 
@@ -77,7 +87,7 @@ def expand_symbolic(state: BranchState) -> DenseState:
     q = n + m
     if q > MAX_QUBITS:
         raise ValueError(f"{q} qubits exceed the dense limit {MAX_QUBITS}")
-    amps = np.zeros(2**q, dtype=complex)
+    amps = np.zeros(2**q)
     for term in state.terms:
         if term.path1 is not PathLabel.UNSPLIT:
             raise ValueError("photon 1 is still split")
@@ -110,7 +120,7 @@ def embed_register_state(
 ) -> DenseState:
     """Insert definite photon polarizations into a kept-register vector."""
     q = n + m
-    amps = np.zeros(2**q, dtype=complex)
+    amps = np.zeros(2**q)
     base = (int(pol1_v) << (n - 1)) | (int(pol2_v) << (q - 1))
     amps[_kept_index(n, m) | base] = kept
     return DenseState(q, amps)
@@ -138,14 +148,20 @@ def _collect(items) -> dict:
     return out
 
 
-def _kerr(state: dict, shift: np.ndarray) -> dict:
-    """Cross-Kerr gate: move each basis element's probe phase by shift[index]."""
-    masks = [(int(s), shift == s) for s in np.unique(shift)]
+def _kerr(state: dict, sectors: list) -> dict:
+    """Cross-Kerr gate: move the probe phase of the basis elements in each
+    (shift, mask) sector by its shift; the masks partition the basis."""
     return _collect(
-        ((p1, p2, k + s), np.where(mask, vec, 0))
+        ((p1, p2, k + s), np.where(mask, vec, 0.0))
         for (p1, p2, k), vec in state.items()
-        for s, mask in masks
+        for s, mask in sectors
     )
+
+
+def _renormalize(vec: np.ndarray, prob: float) -> np.ndarray:
+    """Scale vec by the reciprocal of sqrt(prob).  `verify`'s printed dprob
+    depends on this rounding: dividing by sqrt(prob) rounds differently."""
+    return vec * (1.0 / np.sqrt(prob))
 
 
 def _measure(state: dict, ks: tuple[int, ...]) -> tuple[float, dict]:
@@ -156,9 +172,9 @@ def _measure(state: dict, ks: tuple[int, ...]) -> tuple[float, dict]:
     outcome no basis element occupies two sectors, so that sum relabels.
     """
     hits = [(key, vec) for key, vec in state.items() if key[2] in ks]
-    prob = float(sum(np.sum(np.abs(vec) ** 2) for _, vec in hits))
+    prob = float(sum(np.sum(vec * vec) for _, vec in hits))
     post = _collect(((p1, p2, 0), vec) for (p1, p2, _), vec in hits)
-    return prob, {key: vec / np.sqrt(prob) for key, vec in post.items()}
+    return prob, {key: _renormalize(vec, prob) for key, vec in post.items()}
 
 
 def brute_force_pipeline(n: int, m: int) -> DensePipelineResult:
@@ -170,13 +186,16 @@ def brute_force_pipeline(n: int, m: int) -> DensePipelineResult:
     if q > MAX_QUBITS:
         raise ValueError(f"{q} qubits exceed the dense limit {MAX_QUBITS}")
     idx = np.arange(2**q)
-    bit1 = (idx >> (n - 1)) & 1
-    bit2 = (idx >> (q - 1)) & 1
+    # each gate shifts the probe by 1 - 2 * (photons of one polarization),
+    # so the count of vertical photons picks one of three fixed sectors
+    vertical = ((idx >> (n - 1)) & 1) + ((idx >> (q - 1)) & 1)
+    masks = [vertical == c for c in range(3)]
     unsplit = (0, 0, 0)
 
     # ---- first polarization gate ----
     product = np.kron(make_w_state(m).amplitudes, make_w_state(n).amplitudes)
-    stage = _kerr({unsplit: product}, -2 * ((1 - bit1) + (1 - bit2)) + 1)
+    sectors = [(1 - 2 * (2 - c), masks[c]) for c in range(3)]
+    stage = _kerr({unsplit: product}, sectors)
     p_keep1, psi = _measure(stage, (-1, 1))
     p_pair, pair_branch = _measure(stage, (-3,))
     pair_state = DenseState(q, pair_branch[unsplit])
@@ -192,7 +211,7 @@ def brute_force_pipeline(n: int, m: int) -> DensePipelineResult:
 
     flip1 = idx ^ (1 << (n - 1))
     flip2 = idx ^ (1 << (q - 1))
-    shift3 = -2 * (bit1 + bit2) + 1
+    sectors = [(1 - 2 * c, masks[c]) for c in range(3)]
 
     success_probability = 0.0
     merged_probability = 0.0
@@ -208,12 +227,12 @@ def brute_force_pipeline(n: int, m: int) -> DensePipelineResult:
             plated.append(((0, 0, k), vec))
         # couplers erase both path labels
         merged = _collect(plated)
-        norm = float(sum(np.sum(np.abs(vec) ** 2) for vec in merged.values()))
+        norm = float(sum(np.sum(vec * vec) for vec in merged.values()))
         if abs(norm - 1.0) > NORM_TOL:
             raise RuntimeError("path couplers failed to conserve the norm")
 
         # ---- second polarization gate ----
-        stage = _kerr(merged, shift3)
+        stage = _kerr(merged, sectors)
         p_succ, succ = _measure(stage, (-1, 1))
         p_merge, merge = _measure(stage, (-3,))
         success_probability += p_keep1 * p_branch * p_succ
@@ -223,10 +242,10 @@ def brute_force_pipeline(n: int, m: int) -> DensePipelineResult:
             success_state = DenseState(q, succ[unsplit])
             merge_vec = merge[unsplit]
             kept = merge_vec[_kept_index(n, m) | (1 << (n - 1)) | (1 << (q - 1))]
-            kept_norm = np.sum(np.abs(kept) ** 2)
-            if float(np.sum(np.abs(merge_vec) ** 2) - kept_norm) > NORM_TOL:
+            kept_norm = np.sum(kept * kept)
+            if float(np.sum(merge_vec * merge_vec) - kept_norm) > NORM_TOL:
                 raise RuntimeError("merged branch has non-vertical photons")
-            merged_kept_state = DenseState(q - 2, kept / np.sqrt(kept_norm))
+            merged_kept_state = DenseState(q - 2, _renormalize(kept, kept_norm))
 
     return DensePipelineResult(
         n,

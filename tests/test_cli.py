@@ -112,6 +112,21 @@ def test_verify_detects_injected_fault(capsys):
     assert lines[-1] == "verified 6 cases: 1 FAILED"
 
 
+def test_verify_uses_no_blas_inner_product(capsys, monkeypatch):
+    """vdot and dot on 2**q vectors run on BLAS's thread pool, which costs
+    more CPU than it saves at these sizes; the oracle reduces with ufuncs."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("BLAS inner product called")
+
+    for name in ("vdot", "dot", "inner"):
+        monkeypatch.setattr(f"numpy.{name}", forbidden)
+    code, out, err = run_cli(capsys, ["verify", "--max", "8"])
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-1] == "verified 15 cases: all PASS"
+
+
 def test_verify_rejects_out_of_range_max(capsys):
     for bad in ("21", "30"):
         code, out, err = run_cli(capsys, ["verify", "--max", bad])
@@ -435,6 +450,10 @@ STDOUT_SHA256 = {
     "verify": (
         ["verify"],
         "23ee3ea0dd18e505df01ffe67ac5fa4b6f2c0a8f2d16da5f265fa9e628b73f22",
+    ),
+    "verify-14": (
+        ["verify", "--max", "14"],
+        "3cddedab88dc482e0ba6b6542ebef795090de1a95942807490f647c29a6e4563",
     ),
     "campaign-plain": (
         ["campaign", "--target", "8", "--trials", "1000", "--rng", "7"],

@@ -95,6 +95,14 @@ def test_fidelity_sign_flipped_w3():
     assert abs(fidelity(w3, DenseState(3, flipped)) - 1 / 9) < FID_TOL
 
 
+def test_fidelity_keeps_a_complex_input():
+    plus_i = DenseState(1, np.array([1.0, 1.0j]) / math.sqrt(2))
+    minus_i = DenseState(1, np.array([1.0, -1.0j]) / math.sqrt(2))
+    assert plus_i.amplitudes.dtype == np.complex128
+    assert abs(fidelity(plus_i, minus_i)) < FID_TOL
+    assert abs(fidelity(plus_i, plus_i) - 1.0) < FID_TOL
+
+
 def test_fidelity_rejects_size_mismatch():
     with pytest.raises(ValueError):
         fidelity(make_w_state(2), make_w_state(3))
@@ -217,6 +225,23 @@ def test_brute_force_states_match_constructions(n, m):
     kept = np.kron(make_w_state(m - 1).amplitudes, make_w_state(n - 1).amplitudes)
     expected_pair = embed_register_state(kept, n, m, False, False)
     assert abs(fidelity(res.pair_state, expected_pair) - 1.0) < FID_TOL
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (4, 3)])
+def test_oracle_vectors_are_real(n, m):
+    """Every element the oracle models is real, so it computes in float64."""
+    tree = run_fusion(n, m)
+    res = brute_force_pipeline(n, m)
+    kept = make_w_state(n + m - 2).amplitudes
+    states = [
+        make_w_state(n),
+        embed_register_state(kept, n, m, True, True),
+        res.success_state,
+        res.pair_state,
+        res.merged_kept_state,
+    ] + [expand_symbolic(leaf.state) for leaf in tree.leaves]
+    for state in states:
+        assert state.amplitudes.dtype == np.float64
 
 
 def test_brute_force_rejects_bad_sizes():
