@@ -24,11 +24,12 @@ itself, so a real inner product copies nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .optics import BranchState, PathLabel, RegisterKind
-from .protocol import LeafClassification, LeafKind
+from .protocol import LeafKind
 
 MAX_QUBITS = 20
 NORM_TOL = 1e-10
@@ -126,18 +127,11 @@ def embed_register_state(
     return DenseState(q, amps)
 
 
-@dataclass(frozen=True, eq=False)
-class DensePipelineResult:
-    """Leaf probabilities and leaf states from the brute-force run."""
+class DenseLeaf(NamedTuple):
+    """One leaf of the brute-force run: its probability and its q-qubit state."""
 
-    n: int
-    m: int
-    success_probability: float
-    pair_probability: float
-    merged_probability: float
-    success_state: DenseState
-    pair_state: DenseState
-    merged_kept_state: DenseState
+    probability: float
+    state: DenseState
 
 
 def _collect(items) -> dict:
@@ -177,7 +171,7 @@ def _measure(state: dict, ks: tuple[int, ...]) -> tuple[float, dict]:
     return prob, {key: _renormalize(vec, prob) for key, vec in post.items()}
 
 
-def brute_force_pipeline(n: int, m: int) -> DensePipelineResult:
+def brute_force_pipeline(n: int, m: int) -> dict[LeafKind, DenseLeaf]:
     """Re-run the whole protocol on dense vectors, one per live (path1,
     path2, probe phase) slice, and report every leaf probability and state."""
     if n < 2 or m < 2:
@@ -240,30 +234,13 @@ def brute_force_pipeline(n: int, m: int) -> DensePipelineResult:
 
         if success_state is None:  # leaf states come from the first branch
             success_state = DenseState(q, succ[unsplit])
-            merge_vec = merge[unsplit]
-            kept = merge_vec[_kept_index(n, m) | (1 << (n - 1)) | (1 << (q - 1))]
-            kept_norm = np.sum(kept * kept)
-            if float(np.sum(merge_vec * merge_vec) - kept_norm) > NORM_TOL:
+            merged_state = DenseState(q, merge[unsplit])
+            stray = np.where(masks[2], 0.0, merged_state.amplitudes)
+            if float(np.sum(stray * stray)) > NORM_TOL:
                 raise RuntimeError("merged branch has non-vertical photons")
-            merged_kept_state = DenseState(q - 2, _renormalize(kept, kept_norm))
 
-    return DensePipelineResult(
-        n,
-        m,
-        success_probability,
-        p_pair,
-        merged_probability,
-        success_state,
-        pair_state,
-        merged_kept_state,
-    )
-
-
-def brute_force_leaf_probabilities(n: int, m: int) -> dict[LeafClassification, float]:
-    """Leaf probabilities keyed the same way the symbolic pipeline keys them."""
-    res = brute_force_pipeline(n, m)
     return {
-        LeafClassification(LeafKind.SUCCESS, (n + m,)): res.success_probability,
-        LeafClassification(LeafKind.RECYCLABLE_PAIR, (n - 1, m - 1)): res.pair_probability,
-        LeafClassification(LeafKind.RECYCLABLE_MERGED, (n + m - 2,)): res.merged_probability,
+        LeafKind.SUCCESS: DenseLeaf(success_probability, success_state),
+        LeafKind.RECYCLABLE_PAIR: DenseLeaf(p_pair, pair_state),
+        LeafKind.RECYCLABLE_MERGED: DenseLeaf(merged_probability, merged_state),
     }

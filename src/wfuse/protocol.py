@@ -72,14 +72,9 @@ class LeafKind(Enum):
 
 
 @dataclass(frozen=True)
-class LeafClassification:
+class OutcomeLeaf:
     kind: LeafKind
     sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class OutcomeLeaf:
-    classification: LeafClassification
     probability_exact: Fraction
     state: BranchState
 
@@ -104,7 +99,7 @@ class OutcomeTree:
 
     def leaf(self, kind: LeafKind) -> OutcomeLeaf:
         for lf in self.leaves:
-            if lf.classification.kind is kind:
+            if lf.kind is kind:
                 return lf
         raise KeyError(kind)
 
@@ -128,8 +123,8 @@ class OutcomeTree:
             ],
             "leaves": [
                 {
-                    "class": lf.classification.kind.value,
-                    "sizes": list(lf.classification.sizes),
+                    "class": lf.kind.value,
+                    "sizes": list(lf.sizes),
                     "cumProb": round_sig12(lf.probability),
                 }
                 for lf in self.leaves
@@ -259,8 +254,8 @@ def _branch_by_class(branches: list[MeasurementBranch], abs_k: int) -> Measureme
     raise ValueError(f"no branch with phase class {abs_k}")
 
 
-def project_recyclable(state: BranchState) -> LeafClassification:
-    """Check the drop branch of the second probe gate and classify it.
+def project_recyclable(state: BranchState) -> tuple[int, ...]:
+    """Check the drop branch of the second probe gate and return its sizes.
 
     Projecting both photons onto vertical leaves the kept registers in a
     merged W state of n+m-2 photons; the check asserts equal per-position
@@ -288,7 +283,7 @@ def project_recyclable(state: BranchState) -> LeafClassification:
         raise ValueError("merged W state must cover both register patterns")
     if len(per_position) != 1:
         raise ValueError("per-position amplitudes are unequal")
-    return LeafClassification(LeafKind.RECYCLABLE_MERGED, (n + m - 2,))
+    return (n + m - 2,)
 
 
 def run_fusion(n: int, m: int) -> OutcomeTree:
@@ -305,7 +300,8 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
     stages = [StageRecord("polarization-gate-1", tuple(stage1_branches))]
 
     pair_leaf = OutcomeLeaf(
-        LeafClassification(LeafKind.RECYCLABLE_PAIR, (n - 1, m - 1)),
+        LeafKind.RECYCLABLE_PAIR,
+        (n - 1, m - 1),
         drop1.probability_exact,
         drop1.post_state,
     )
@@ -332,13 +328,13 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
         success_prob += path_prob * keep3.probability_exact
         merged_prob += path_prob * drop3.probability_exact
 
-    merged_class = project_recyclable(merged_state)
-    success_leaf = OutcomeLeaf(
-        LeafClassification(LeafKind.SUCCESS, (n + m,)),
-        success_prob,
-        success_state,
+    success_leaf = OutcomeLeaf(LeafKind.SUCCESS, (n + m,), success_prob, success_state)
+    merged_leaf = OutcomeLeaf(
+        LeafKind.RECYCLABLE_MERGED,
+        project_recyclable(merged_state),
+        merged_prob,
+        merged_state,
     )
-    merged_leaf = OutcomeLeaf(merged_class, merged_prob, merged_state)
 
     leaves = (success_leaf, pair_leaf, merged_leaf)
     if sum(lf.probability_exact for lf in leaves) != 1:

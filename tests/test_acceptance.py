@@ -134,21 +134,22 @@ def test_criterion_4_recyclable_branches():
         assert merged.probability_exact == Fraction(n + m - 2, 2 * n * m)
         total = sum(leaf.probability for leaf in tree.leaves)
         assert abs(total - 1.0) <= ABS_TOL
-        assert pair.classification.sizes == (n - 1, m - 1)
-        assert merged.classification.sizes == (n + m - 2,)
+        assert pair.sizes == (n - 1, m - 1)
+        assert merged.sizes == (n + m - 2,)
 
     for n, m in ORACLE_GRID:
         tree = run_fusion(n, m)
         dense = brute_force_pipeline(n, m)
         pair_vec = expand_symbolic(tree.leaf(LeafKind.RECYCLABLE_PAIR).state)
-        assert fidelity(pair_vec, dense.pair_state) >= 1.0 - FID_TOL
+        pair = dense[LeafKind.RECYCLABLE_PAIR].state
+        assert fidelity(pair_vec, pair) >= 1.0 - FID_TOL
         merged_vec = expand_symbolic(tree.leaf(LeafKind.RECYCLABLE_MERGED).state)
+        merged = dense[LeafKind.RECYCLABLE_MERGED].state
+        assert fidelity(merged_vec, merged) >= 1.0 - FID_TOL
         expect = embed_register_state(
-            dense.merged_kept_state.amplitudes, n, m, True, True
+            make_w_state(n + m - 2).amplitudes, n, m, True, True
         )
-        assert fidelity(merged_vec, expect) >= 1.0 - FID_TOL
-        kept = dense.merged_kept_state
-        assert fidelity(kept, make_w_state(n + m - 2)) >= 1.0 - FID_TOL
+        assert fidelity(merged, expect) >= 1.0 - FID_TOL
     print(
         "PASS criterion 4: recyclable leaf probabilities, register contents, "
         f"and unit leaf sum within {ABS_TOL:g}"

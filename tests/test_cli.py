@@ -196,6 +196,14 @@ def test_plan_unwritable_dat_leaves_no_csv(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_plan_rejects_out_that_its_plot_data_would_overwrite(tmp_path, capsys):
+    target = tmp_path / "costs.dat"
+    code, out, err = run_cli(capsys, ["plan", "--max", "6", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --out {target}") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_plan_unreachable_seed_notes_on_stderr(capsys):
     code, out, err = run_cli(capsys, ["plan", "--seed", "7", "--max", "6"])
     assert code == 0
@@ -303,6 +311,19 @@ def test_bad_seed_environment_only_affects_campaign(capsys, monkeypatch):
         capsys, ["campaign", "--target", "4", "--trials", "10", "--rng", "1"]
     )
     assert code == 0
+
+
+def test_negative_rng_flag_names_the_flag(capsys):
+    code, out, err = run_cli(
+        capsys, ["campaign", "--target", "4", "--trials", "10", "--rng", "-1"]
+    )
+    assert (code, out, err) == (2, "", "error: --rng must be >= 0, got -1\n")
+
+
+def test_negative_seed_environment_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("WFUSE_SEED", "-1")
+    code, out, err = run_cli(capsys, ["campaign", "--target", "4", "--trials", "10"])
+    assert (code, out, err) == (2, "", "error: $WFUSE_SEED must be >= 0, got -1\n")
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +436,53 @@ def test_version_prints_package_version(capsys):
     assert code == 0
     assert out == f"wfuse {wfuse.__version__}\n"
     assert err == ""
+
+
+def test_package_root_imports_nothing():
+    code = (
+        "import sys, wfuse; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('wfuse.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wfuse.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_bench_tracer_patch_points_exist():
+    """The benchmark's tracer patches wfuse by name and reads the qubit count
+    from brute_force_pipeline's positional arguments; a renamed or rewired
+    name fails here rather than inside a traced benchmark run."""
+    import importlib.util
+
+    import wfuse.cli
+
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    with tracer.install(wfuse):
+        # looked up on the module, where the tracer patched it
+        assert wfuse.cli.main(["verify", "--max", "4"]) == 0
+        assert wfuse.cli.main(["fuse", "-n", "2", "-m", "2"]) == 0
+    names = {sp.name for sp in tracer.spans}
+    assert {
+        "cli.main",
+        "protocol.run_fusion",
+        "oracle.brute_force_pipeline",
+        "oracle.expand_symbolic",
+        "oracle.fidelity",
+        "optics.make_branch_state",
+        "protocol.homodyne_measure",
+        "protocol.to_json_obj",
+        "optics.state_to_json_obj",
+    } <= names
+    qubits = [
+        sp.info["q"] for sp in tracer.spans if sp.name == "oracle.brute_force_pipeline"
+    ]
+    assert qubits == [4]
 
 
 # sha256 of stdout at fixed arguments.  Stdout is the output contract, so a

@@ -13,7 +13,6 @@ import pytest
 
 from wfuse.oracle import (
     DenseState,
-    brute_force_leaf_probabilities,
     brute_force_pipeline,
     embed_register_state,
     expand_symbolic,
@@ -157,23 +156,22 @@ def test_embed_register_state_places_photons():
 
 
 def test_brute_force_2_2_probabilities():
-    probs = brute_force_leaf_probabilities(2, 2)
-    by_kind = {cls.kind: p for cls, p in probs.items()}
-    assert abs(by_kind[LeafKind.SUCCESS] - 0.5) < FID_TOL
-    assert abs(by_kind[LeafKind.RECYCLABLE_PAIR] - 0.25) < FID_TOL
-    assert abs(by_kind[LeafKind.RECYCLABLE_MERGED] - 0.25) < FID_TOL
+    res = brute_force_pipeline(2, 2)
+    assert abs(res[LeafKind.SUCCESS].probability - 0.5) < FID_TOL
+    assert abs(res[LeafKind.RECYCLABLE_PAIR].probability - 0.25) < FID_TOL
+    assert abs(res[LeafKind.RECYCLABLE_MERGED].probability - 0.25) < FID_TOL
 
 
 def test_brute_force_3_2_success():
-    probs = brute_force_leaf_probabilities(3, 2)
-    by_kind = {cls.kind: p for cls, p in probs.items()}
-    assert abs(by_kind[LeafKind.SUCCESS] - 5 / 12) < FID_TOL
+    res = brute_force_pipeline(3, 2)
+    assert abs(res[LeafKind.SUCCESS].probability - 5 / 12) < FID_TOL
 
 
 @pytest.mark.parametrize("n,m", GRID)
 def test_brute_force_probabilities_sum_to_one(n, m):
-    probs = brute_force_leaf_probabilities(n, m)
-    assert abs(sum(probs.values()) - 1.0) < FID_TOL
+    res = brute_force_pipeline(n, m)
+    assert set(res) == set(LeafKind)
+    assert abs(sum(leaf.probability for leaf in res.values()) - 1.0) < FID_TOL
 
 
 @pytest.mark.parametrize("n,m", GRID)
@@ -205,26 +203,26 @@ def test_merged_leaf_expands_to_smaller_w(n, m):
 @pytest.mark.parametrize("n,m", GRID)
 def test_brute_force_matches_symbolic_probabilities(n, m):
     tree = run_fusion(n, m)
-    probs = brute_force_leaf_probabilities(n, m)
-    for cls, p in probs.items():
-        matching = [
-            lf for lf in tree.leaves if lf.classification == cls
-        ]
-        assert len(matching) == 1
-        assert abs(matching[0].probability - p) < FID_TOL
+    res = brute_force_pipeline(n, m)
+    assert sorted(lf.kind.value for lf in tree.leaves) == sorted(k.value for k in res)
+    for leaf in tree.leaves:
+        assert abs(leaf.probability - res[leaf.kind].probability) < FID_TOL
 
 
 @pytest.mark.parametrize("n,m", GRID)
 def test_brute_force_states_match_constructions(n, m):
     res = brute_force_pipeline(n, m)
-    assert abs(fidelity(res.success_state, make_w_state(n + m)) - 1.0) < FID_TOL
-    assert (
-        abs(fidelity(res.merged_kept_state, make_w_state(n + m - 2)) - 1.0)
-        < FID_TOL
+    success = res[LeafKind.SUCCESS].state
+    assert abs(fidelity(success, make_w_state(n + m)) - 1.0) < FID_TOL
+    expected_merged = embed_register_state(
+        make_w_state(n + m - 2).amplitudes, n, m, True, True
     )
+    merged = res[LeafKind.RECYCLABLE_MERGED].state
+    assert abs(fidelity(merged, expected_merged) - 1.0) < FID_TOL
     kept = np.kron(make_w_state(m - 1).amplitudes, make_w_state(n - 1).amplitudes)
     expected_pair = embed_register_state(kept, n, m, False, False)
-    assert abs(fidelity(res.pair_state, expected_pair) - 1.0) < FID_TOL
+    pair = res[LeafKind.RECYCLABLE_PAIR].state
+    assert abs(fidelity(pair, expected_pair) - 1.0) < FID_TOL
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (4, 3)])
@@ -236,10 +234,9 @@ def test_oracle_vectors_are_real(n, m):
     states = [
         make_w_state(n),
         embed_register_state(kept, n, m, True, True),
-        res.success_state,
-        res.pair_state,
-        res.merged_kept_state,
-    ] + [expand_symbolic(leaf.state) for leaf in tree.leaves]
+        *(leaf.state for leaf in res.values()),
+        *(expand_symbolic(leaf.state) for leaf in tree.leaves),
+    ]
     for state in states:
         assert state.amplitudes.dtype == np.float64
 
@@ -254,11 +251,14 @@ def test_brute_force_rejects_bad_sizes():
 def test_brute_force_at_16_qubits_matches_exact_rates():
     n, m = 9, 7
     res = brute_force_pipeline(n, m)
-    assert abs(res.success_probability - float(ps_qlf(n, m))) < 1e-12
-    assert abs(res.pair_probability - float(p_pair(n, m))) < 1e-12
+    success = res[LeafKind.SUCCESS]
+    pair = res[LeafKind.RECYCLABLE_PAIR]
+    merged = res[LeafKind.RECYCLABLE_MERGED]
+    assert abs(success.probability - float(ps_qlf(n, m))) < 1e-12
+    assert abs(pair.probability - float(p_pair(n, m))) < 1e-12
     merged_rate = Fraction(n + m - 2, 2 * n * m)
-    assert abs(res.merged_probability - float(merged_rate)) < 1e-12
-    assert fidelity(res.success_state, make_w_state(n + m)) >= 1.0 - FID_TOL
+    assert abs(merged.probability - float(merged_rate)) < 1e-12
+    assert fidelity(success.state, make_w_state(n + m)) >= 1.0 - FID_TOL
 
 
 def test_oracle_imports_nothing_of_the_term_algebra():
@@ -281,6 +281,5 @@ def test_oracle_imports_nothing_of_the_term_algebra():
         ("optics", "BranchState"),
         ("optics", "PathLabel"),
         ("optics", "RegisterKind"),
-        ("protocol", "LeafClassification"),
         ("protocol", "LeafKind"),
     }

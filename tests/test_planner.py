@@ -123,9 +123,9 @@ def test_rates_match_pipeline_leaves():
             merged = tree.leaf(LeafKind.RECYCLABLE_MERGED)
             assert success.probability_exact == ps_qlf(n, m)
             assert pair.probability_exact == p_pair(n, m)
-            assert success.classification.sizes == (n + m,)
-            assert pair.classification.sizes == (n - 1, m - 1)
-            assert merged.classification.sizes == (n + m - 2,)
+            assert success.sizes == (n + m,)
+            assert pair.sizes == (n - 1, m - 1)
+            assert merged.sizes == (n + m - 2,)
 
 
 # ---------------------------------------------------------------------------

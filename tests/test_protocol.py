@@ -271,9 +271,7 @@ def test_project_recyclable_classifies_merged_branch():
     keep = step1_polarization_gate(build_input_state(3, 4))[0].post_state
     merged = step2_spatial_gate(keep)[0].post_state
     drop = step3_polarization_gate(merged)[1].post_state
-    cls = project_recyclable(drop)
-    assert cls.kind is LeafKind.RECYCLABLE_MERGED
-    assert cls.sizes == (5,)
+    assert project_recyclable(drop) == (5,)
 
 
 def test_project_recyclable_rejects_wrong_states():
@@ -301,7 +299,7 @@ def test_project_recyclable_rejects_unequal_per_position_amplitudes():
 
 def test_run_fusion_2_2_leaf_probabilities():
     tree = run_fusion(2, 2)
-    by_kind = {lf.classification.kind: lf for lf in tree.leaves}
+    by_kind = {lf.kind: lf for lf in tree.leaves}
     assert by_kind[LeafKind.SUCCESS].probability_exact == Fraction(1, 2)
     assert by_kind[LeafKind.RECYCLABLE_PAIR].probability_exact == Fraction(1, 4)
     assert by_kind[LeafKind.RECYCLABLE_MERGED].probability_exact == Fraction(1, 4)
@@ -331,9 +329,9 @@ def test_run_fusion_grid_invariants(n, m):
     # float and exact tracks agree leaf by leaf
     for leaf in tree.leaves:
         assert abs(leaf.probability - float(leaf.probability_exact)) < ABS_TOL
-    assert success.classification.sizes == (n + m,)
-    assert pair.classification.sizes == (n - 1, m - 1)
-    assert merged.classification.sizes == (n + m - 2,)
+    assert success.sizes == (n + m,)
+    assert pair.sizes == (n - 1, m - 1)
+    assert merged.sizes == (n + m - 2,)
 
 
 def test_run_fusion_records_both_spatial_continuations():
