@@ -77,7 +77,7 @@ def _verify_case(n: int, m: int, inject_fault: bool):
             corrupted = vec.amplitudes.copy()
             hot = int(abs(corrupted).argmax())
             corrupted[hot] = -corrupted[hot]
-            vec = DenseState(vec.qubit_count, corrupted)
+            vec = DenseState(vec.qubit_count, vec.support, corrupted)
         fid = fidelity(vec, twin.state)
         if leaf.kind is LeafKind.SUCCESS:
             fid = min(fidelity(vec, make_w_state(n + m)), fid)

@@ -1,24 +1,30 @@
 """Dense state-vector cross-checks for the fusion pipeline.
 
-Everything here works on explicit 2**q amplitude vectors with a fixed qubit
+Everything here works on explicit amplitude vectors with a fixed qubit
 ordering: party A's kept modes, photon 1, party B's kept modes, photon 2,
-encoded H -> 0, V -> 1 with qubit i on bit i of the index.  The brute-force
-pipeline re-runs the whole protocol in this representation, modeling the
-homodyne classes as orthogonal probe sectors.  Its state maps each live
-(path1, path2, probe phase) slice to one such vector, where a path is 0
-while the photon is unsplit and 1 or 2 on its two split paths.  It never
-touches the symbolic term algebra, so agreement between the two is an
+encoded H -> 0, V -> 1 with qubit i on bit i of the index.  A vector is
+stored on its support: a sorted list of basis indices and the amplitude of
+each, every other index having amplitude 0.  The brute-force pipeline
+re-runs the whole protocol in this representation, modeling the homodyne
+classes as orthogonal probe sectors.  Its state maps each live (path1,
+path2, probe phase) slice to one vector over a common support, where a path
+is 0 while the photon is unsplit and 1 or 2 on its two split paths.  It
+never touches the symbolic term algebra, so agreement between the two is an
 independent check rather than a tautology.
 
 Every vector the oracle builds is real float64.  That is exact, not an
 approximation: every element it models is real.  The Kerr phases become
 orthogonal probe-sector labels, the half-wave plate is a bit flip, the path
 gate halves a vector and the couplers sum slices, and every symbolic
-amplitude is real.  ``DenseState`` and ``fidelity`` accept any dtype
-and never cast: a complex input keeps its imaginary part.  Inner products
-are numpy ufunc reductions rather than ``vdot``, which would hand 2**q
-vectors to a multithreaded BLAS; ``ndarray.conj`` returns a real array
-itself, so a real inner product copies nothing.
+amplitude is real.  The two half-wave-plate flips are the only elements
+that move a basis index, so the run never leaves the closure of the input
+W_n x W_m support under them: at most 4nm indices, whatever 2**q is.  A flip
+that would leave that support raises rather than drop amplitude.
+``DenseState`` and ``fidelity`` accept any dtype and never cast: a complex
+input keeps its imaginary part.  Inner products are numpy ufunc reductions
+rather than ``vdot``, which would hand vectors to a multithreaded BLAS;
+``ndarray.conj`` returns a real array itself, so a real inner product copies
+nothing.
 """
 
 from __future__ import annotations
@@ -31,24 +37,35 @@ import numpy as np
 from .optics import BranchState, PathLabel, RegisterKind
 from .protocol import LeafKind
 
-MAX_QUBITS = 20
+# every basis index and the bound 2**q fit in a signed 64-bit integer
+MAX_QUBITS = 62
 NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class DenseState:
-    """Normalized amplitude vector over qubit_count qubits."""
+    """Normalized state over qubit_count qubits: amplitudes[i] belongs to
+    basis index support[i], and every index off the support has amplitude 0.
+    The support is a strictly increasing int64 array."""
 
     qubit_count: int
+    support: np.ndarray
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.qubit_count <= MAX_QUBITS:
+        q, support, amps = self.qubit_count, self.support, self.amplitudes
+        if not 1 <= q <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}")
-        if self.amplitudes.shape != (2**self.qubit_count,):
-            raise ValueError("amplitude vector has the wrong length")
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
+        if support.dtype != np.int64 or support.ndim != 1:
+            raise ValueError("support must be a 1-D int64 array")
+        if support.shape != amps.shape:
+            raise ValueError("support and amplitudes differ in shape")
+        if (support[1:] <= support[:-1]).any():
+            raise ValueError("support is not strictly increasing")
+        if support.size and (support[0] < 0 or support[-1] >= 1 << q):
+            raise ValueError(f"support index outside 0..2**{q}-1")
+        norm = float((abs(amps) ** 2).sum())
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state norm {norm} is not 1")
 
 
@@ -56,15 +73,17 @@ def make_w_state(n: int) -> DenseState:
     """Equal superposition of all single-V computational states."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"W size must be in 1..{MAX_QUBITS}")
-    amps = np.zeros(2**n)
-    amps[[1 << j for j in range(n)]] = 1.0 / np.sqrt(n)
-    return DenseState(n, amps)
+    support = 1 << np.arange(n, dtype=np.int64)
+    return DenseState(n, support, np.full(n, 1.0 / np.sqrt(n)))
 
 
 def fidelity(a: DenseState, b: DenseState) -> float:
     if a.qubit_count != b.qubit_count:
         raise ValueError("qubit counts differ")
-    ip = np.sum(a.amplitudes.conj() * b.amplitudes)
+    # where each index of a's support sits in b's, and whether it is there
+    pos = np.searchsorted(b.support, a.support)
+    hit = b.support.take(pos, mode="clip") == a.support
+    ip = (a.amplitudes[hit].conj() * b.amplitudes[pos[hit]]).sum()
     return float(abs(ip) ** 2)
 
 
@@ -88,7 +107,7 @@ def expand_symbolic(state: BranchState) -> DenseState:
     q = n + m
     if q > MAX_QUBITS:
         raise ValueError(f"{q} qubits exceed the dense limit {MAX_QUBITS}")
-    amps = np.zeros(2**q)
+    amps: dict[int, float] = {}
     for term in state.terms:
         if term.path1 is not PathLabel.UNSPLIT:
             raise ValueError("photon 1 is still split")
@@ -99,32 +118,31 @@ def expand_symbolic(state: BranchState) -> DenseState:
         bit1 = 1 if term.pol1.value == "V" else 0
         bit2 = 1 if term.pol2.value == "V" else 0
         base = (bit1 << (n - 1)) | (bit2 << (q - 1))
+        amp = term.amplitude
         for pat_a, amp_a in _register_patterns(term.reg_a, n - 1):
             for pat_b, amp_b in _register_patterns(term.reg_b, m - 1):
                 idx = base | pat_a | (pat_b << n)
-                amps[idx] += term.amplitude * amp_a * amp_b
-    return DenseState(q, amps)
-
-
-def _kept_index(n: int, m: int) -> np.ndarray:
-    """Full index of each kept-register index, with both photon bits clear.
-
-    A kept-register index holds party A's n-1 modes in its low bits and
-    party B's m-1 modes above them.
-    """
-    kept = np.arange(2 ** (n + m - 2))
-    return (kept & ((1 << (n - 1)) - 1)) | ((kept >> (n - 1)) << n)
+                amps[idx] = amps.get(idx, 0.0) + amp * amp_a * amp_b
+    support = sorted(amps)
+    values = np.array([amps[idx] for idx in support])
+    return DenseState(q, np.array(support, dtype=np.int64), values)
 
 
 def embed_register_state(
-    kept: np.ndarray, n: int, m: int, pol1_v: bool, pol2_v: bool
+    kept: DenseState, n: int, m: int, pol1_v: bool, pol2_v: bool
 ) -> DenseState:
-    """Insert definite photon polarizations into a kept-register vector."""
-    q = n + m
-    amps = np.zeros(2**q)
-    base = (int(pol1_v) << (n - 1)) | (int(pol2_v) << (q - 1))
-    amps[_kept_index(n, m) | base] = kept
-    return DenseState(q, amps)
+    """Insert definite photon polarizations into a kept-register state.
+
+    The kept register holds party A's n-1 modes in its low bits and party
+    B's m-1 modes above them.  Inserting the photon bits keeps the order of
+    the support.
+    """
+    if kept.qubit_count != n + m - 2:
+        raise ValueError(f"kept register must have {n + m - 2} qubits")
+    k = kept.support
+    base = (int(pol1_v) << (n - 1)) | (int(pol2_v) << (n + m - 1))
+    support = (k & ((1 << (n - 1)) - 1)) | ((k >> (n - 1)) << n) | base
+    return DenseState(n + m, support, kept.amplitudes)
 
 
 class DenseLeaf(NamedTuple):
@@ -153,8 +171,9 @@ def _kerr(state: dict, sectors: list) -> dict:
 
 
 def _renormalize(vec: np.ndarray, prob: float) -> np.ndarray:
-    """Scale vec by the reciprocal of sqrt(prob).  `verify`'s printed dprob
-    depends on this rounding: dividing by sqrt(prob) rounds differently."""
+    """Scale vec by the reciprocal of sqrt(prob).  Later stage probabilities
+    are sums over the scaled vectors, so this rounding reaches `verify`'s
+    printed dprob: dividing by sqrt(prob) rounds differently."""
     return vec * (1.0 / np.sqrt(prob))
 
 
@@ -166,9 +185,20 @@ def _measure(state: dict, ks: tuple[int, ...]) -> tuple[float, dict]:
     outcome no basis element occupies two sectors, so that sum relabels.
     """
     hits = [(key, vec) for key, vec in state.items() if key[2] in ks]
-    prob = float(sum(np.sum(vec * vec) for _, vec in hits))
+    prob = float(sum((vec * vec).sum() for _, vec in hits))
     post = _collect(((p1, p2, 0), vec) for (p1, p2, _), vec in hits)
     return prob, {key: _renormalize(vec, prob) for key, vec in post.items()}
+
+
+def _flip(support: np.ndarray, bit: int) -> np.ndarray:
+    """Gather order that flips `bit` of every index of a vector over support:
+    vec[_flip(support, bit)] is the flipped vector.  Raises if the support is
+    not closed under the flip, rather than drop the amplitude that leaves it."""
+    target = support ^ bit
+    pos = np.searchsorted(support, target)
+    if not np.array_equal(support.take(pos, mode="clip"), target):
+        raise RuntimeError("bit flip leaves the dense support")
+    return pos
 
 
 def brute_force_pipeline(n: int, m: int) -> dict[LeafKind, DenseLeaf]:
@@ -179,7 +209,12 @@ def brute_force_pipeline(n: int, m: int) -> dict[LeafKind, DenseLeaf]:
     q = n + m
     if q > MAX_QUBITS:
         raise ValueError(f"{q} qubits exceed the dense limit {MAX_QUBITS}")
-    idx = np.arange(2**q)
+    w_n, w_m = make_w_state(n), make_w_state(m)
+    inputs = (w_m.support[:, None] << n) | w_n.support
+    # the half-wave plates flip bit n - 1 or q - 1 and no other element moves
+    # an index, so every slice lives on the closure of the input under both
+    photon1, photon2 = 1 << (n - 1), 1 << (q - 1)
+    idx = np.unique([inputs ^ f for f in (0, photon1, photon2, photon1 | photon2)])
     # each gate shifts the probe by 1 - 2 * (photons of one polarization),
     # so the count of vertical photons picks one of three fixed sectors
     vertical = ((idx >> (n - 1)) & 1) + ((idx >> (q - 1)) & 1)
@@ -187,12 +222,13 @@ def brute_force_pipeline(n: int, m: int) -> dict[LeafKind, DenseLeaf]:
     unsplit = (0, 0, 0)
 
     # ---- first polarization gate ----
-    product = np.kron(make_w_state(m).amplitudes, make_w_state(n).amplitudes)
+    product = np.zeros(idx.size)
+    product[np.searchsorted(idx, inputs)] = np.outer(w_m.amplitudes, w_n.amplitudes)
     sectors = [(1 - 2 * (2 - c), masks[c]) for c in range(3)]
     stage = _kerr({unsplit: product}, sectors)
     p_keep1, psi = _measure(stage, (-1, 1))
     p_pair, pair_branch = _measure(stage, (-3,))
-    pair_state = DenseState(q, pair_branch[unsplit])
+    pair_state = DenseState(q, idx, pair_branch[unsplit])
 
     # ---- path gate: each photon splits evenly over its paths 1 and 2 ----
     half = psi[unsplit] / 2.0
@@ -203,8 +239,8 @@ def brute_force_pipeline(n: int, m: int) -> dict[LeafKind, DenseLeaf]:
     swapped = {(p1, 3 - p2, k): vec for (p1, p2, k), vec in two_branch.items()}
     spatial_branches = [(p_zero, zero_branch), (p_two, swapped)]
 
-    flip1 = idx ^ (1 << (n - 1))
-    flip2 = idx ^ (1 << (q - 1))
+    flip1 = _flip(idx, photon1)
+    flip2 = _flip(idx, photon2)
     sectors = [(1 - 2 * c, masks[c]) for c in range(3)]
 
     success_probability = 0.0
@@ -221,8 +257,8 @@ def brute_force_pipeline(n: int, m: int) -> dict[LeafKind, DenseLeaf]:
             plated.append(((0, 0, k), vec))
         # couplers erase both path labels
         merged = _collect(plated)
-        norm = float(sum(np.sum(vec * vec) for vec in merged.values()))
-        if abs(norm - 1.0) > NORM_TOL:
+        norm = float(sum((vec * vec).sum() for vec in merged.values()))
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise RuntimeError("path couplers failed to conserve the norm")
 
         # ---- second polarization gate ----
@@ -233,10 +269,10 @@ def brute_force_pipeline(n: int, m: int) -> dict[LeafKind, DenseLeaf]:
         merged_probability += p_keep1 * p_branch * p_merge
 
         if success_state is None:  # leaf states come from the first branch
-            success_state = DenseState(q, succ[unsplit])
-            merged_state = DenseState(q, merge[unsplit])
+            success_state = DenseState(q, idx, succ[unsplit])
+            merged_state = DenseState(q, idx, merge[unsplit])
             stray = np.where(masks[2], 0.0, merged_state.amplitudes)
-            if float(np.sum(stray * stray)) > NORM_TOL:
+            if float((stray * stray).sum()) > NORM_TOL:
                 raise RuntimeError("merged branch has non-vertical photons")
 
     return {

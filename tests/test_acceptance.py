@@ -146,9 +146,7 @@ def test_criterion_4_recyclable_branches():
         merged_vec = expand_symbolic(tree.leaf(LeafKind.RECYCLABLE_MERGED).state)
         merged = dense[LeafKind.RECYCLABLE_MERGED].state
         assert fidelity(merged_vec, merged) >= 1.0 - FID_TOL
-        expect = embed_register_state(
-            make_w_state(n + m - 2).amplitudes, n, m, True, True
-        )
+        expect = embed_register_state(make_w_state(n + m - 2), n, m, True, True)
         assert fidelity(merged, expect) >= 1.0 - FID_TOL
     print(
         "PASS criterion 4: recyclable leaf probabilities, register contents, "

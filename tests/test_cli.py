@@ -18,7 +18,7 @@ import pytest
 
 import wfuse
 from wfuse.cli import main
-from wfuse.protocol import run_fusion
+from wfuse.protocol import LeafKind, run_fusion
 
 
 def run_cli(capsys, argv):
@@ -128,11 +128,29 @@ def test_verify_uses_no_blas_inner_product(capsys, monkeypatch):
 
 
 def test_verify_rejects_out_of_range_max(capsys):
-    for bad in ("21", "30"):
+    for bad in ("63", "100"):
         code, out, err = run_cli(capsys, ["verify", "--max", bad])
         assert code == 2
         assert out == ""
         assert "--max" in err
+
+
+def test_verify_accepts_the_dense_limit(capsys, monkeypatch):
+    """--max 62 runs every case up to 62 qubits; the sweep itself takes
+    seconds, so a stub stands in for each case but the largest one."""
+    assert wfuse.cli._verify_case(31, 31, False)[0]
+    seen = []
+
+    def passing_case(n, m, inject_fault):
+        seen.append(n + m)
+        return True, dict.fromkeys(LeafKind, 1.0), 0.0
+
+    monkeypatch.setattr(wfuse.cli, "_verify_case", passing_case)
+    code, out, err = run_cli(capsys, ["verify", "--max", "62"])
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-1] == "verified 1770 cases: all PASS"
+    assert max(seen) == 62
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +535,11 @@ STDOUT_SHA256 = {
     ),
     "verify": (
         ["verify"],
-        "23ee3ea0dd18e505df01ffe67ac5fa4b6f2c0a8f2d16da5f265fa9e628b73f22",
+        "8cfd24b2f4e287972ccc4c2469964292f53fda7907cb0c1a8c25ef5fdd6822d6",
     ),
     "verify-14": (
         ["verify", "--max", "14"],
-        "3cddedab88dc482e0ba6b6542ebef795090de1a95942807490f647c29a6e4563",
+        "693033ffb5fd2b45498c30e3f3c64c5f6588ebee6a93c0dc42978647c6d885b3",
     ),
     "campaign-plain": (
         ["campaign", "--target", "8", "--trials", "1000", "--rng", "7"],
