@@ -12,20 +12,22 @@ import math
 from dataclasses import dataclass
 
 from .optics import ProbeConfig, round_sig12
-from .protocol import PhaseClass
 
 _SQRT2 = math.sqrt(2.0)
 
-# phase classes the protocol can ask the readout to separate
-PROTOCOL_CLASSES = (PhaseClass(0), PhaseClass(1), PhaseClass(2), PhaseClass(3))
+# phase classes |k| the protocol can ask the readout to separate
+PROTOCOL_CLASSES = (0, 1, 2, 3)
+# the most closely spaced pair that one readout must actually separate,
+# which sets the operating-point error
+BINDING_CLASSES = (0, 2)
 
 
-def class_mean(probe: ProbeConfig, phase_class: PhaseClass) -> float:
-    """Quadrature mean of the probe in the given phase class."""
-    return 2.0 * probe.alpha * math.cos(phase_class.abs_half_theta * probe.theta / 2.0)
+def class_mean(probe: ProbeConfig, phase_class: int) -> float:
+    """Quadrature mean of the probe in phase class |k|."""
+    return 2.0 * probe.alpha * math.cos(phase_class * probe.theta / 2.0)
 
 
-def p_error(probe: ProbeConfig, class_a: PhaseClass, class_b: PhaseClass) -> float:
+def p_error(probe: ProbeConfig, class_a: int, class_b: int) -> float:
     """Misclassification probability of the midpoint-threshold discriminator."""
     if class_a == class_b:
         raise ValueError("phase classes must be distinct")
@@ -48,7 +50,7 @@ class DiscriminationReport:
             "alpha": round_sig12(self.alpha),
             "theta": round_sig12(self.theta),
             "means": {
-                str(pc.abs_half_theta): round_sig12(mu)
+                str(pc): round_sig12(mu)
                 for pc, mu in self.class_means.items()
             },
             "threshold": round_sig12(self.threshold),
@@ -56,16 +58,9 @@ class DiscriminationReport:
         }
 
 
-def discrimination_report(
-    probe: ProbeConfig,
-    class_a: PhaseClass = PhaseClass(0),
-    class_b: PhaseClass = PhaseClass(2),
-) -> DiscriminationReport:
-    """Report the binding discrimination task of the pipeline.
-
-    The default pair is the most closely spaced pair that one readout must
-    actually separate, which sets the operating-point error.
-    """
+def discrimination_report(probe: ProbeConfig) -> DiscriminationReport:
+    """Report the binding discrimination task of the pipeline."""
+    class_a, class_b = BINDING_CLASSES
     means = {pc: class_mean(probe, pc) for pc in PROTOCOL_CLASSES}
     mu_a = class_mean(probe, class_a)
     mu_b = class_mean(probe, class_b)

@@ -8,36 +8,34 @@ not stored per term: party A's register always holds n-1 photons and party
 B's m-1, read from the state.  The optical elements (polarization- and
 path-conditioned Kerr media, beam splitters, half-wave plates, path
 couplers, the path swap) act term by term and are all pure functions
-returning a new canonicalized state.
+returning a new canonicalized state.  This module holds only that algebra
+and its serialization; the interferometer mode matrices that justify the
+path swap live with the dense cross-checks in ``oracle``.
 
 A term is one flat record whose first seven fields are its basis key.  That
 key both merges coinciding terms and orders them: the enums are string
 mixins, so the key hashes and sorts as plain strings and an integer.
 
 Every amplitude in the pipeline has the form sign*sqrt(q) with q rational,
-so each term stores only that exact signed square root; its real float is
-derived from it on demand.  The exact form is what lets the pipeline report
+so each term stores only the amplitude's signed square, one ``Fraction`` e
+standing for sign(e)*sqrt(|e|); its real float is derived from it on
+demand.  The exact form is what lets the pipeline report
 branch probabilities as exact fractions; a sum of amplitudes that leaves the
 form raises rather than degrading to a rounded float.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 # tolerance for norm bookkeeping
 NORM_EPS = 1e-12
 # the pipeline never drives the probe phase outside this range
 MAX_ABS_PROBE_PHASE = 4
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class Polarization(str, Enum):
@@ -68,49 +66,28 @@ class RegisterKind(str, Enum):
     W_STATE = "w-state"
 
 
-@dataclass(frozen=True)
-class ExactAmp:
-    """Real amplitude sign*sqrt(mag2) with mag2 an exact rational."""
+def add_exact(a: Fraction, b: Fraction) -> Fraction:
+    """Sum of two amplitudes given as signed squares, as a signed square.
 
-    sign: int
-    mag2: Fraction
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-        if self.mag2 < 0:
-            raise ValueError("squared magnitude must be non-negative")
-
-    def scaled_mag2(self, factor: Fraction) -> "ExactAmp":
-        return ExactAmp(self.sign, self.mag2 * factor)
-
-    def negated(self) -> "ExactAmp":
-        return ExactAmp(-self.sign, self.mag2)
-
-    def to_float(self) -> float:
-        # int / int is the same correctly rounded value as float(mag2), cheaper
-        return self.sign * math.sqrt(self.mag2.numerator / self.mag2.denominator)
-
-
-def add_exact(a: ExactAmp, b: ExactAmp) -> ExactAmp:
-    """Sum of two exact amplitudes; raises ValueError if it leaves the form."""
-    if a.mag2 == 0:
+    sign(a)*sqrt(|a|) + sign(b)*sqrt(|b|) squares to |a| + |b| +- 2*sqrt(ab);
+    raises ValueError if sqrt(ab) is irrational, so the sum leaves the form.
+    """
+    if a == 0:
         return b
-    if b.mag2 == 0:
+    if b == 0:
         return a
-    prod = a.mag2 * b.mag2
+    prod = abs(a * b)
     num, den = math.isqrt(prod.numerator), math.isqrt(prod.denominator)
     if num * num != prod.numerator or den * den != prod.denominator:
         raise ValueError(
-            f"sqrt({a.mag2}) and sqrt({b.mag2}) sum outside the form sign*sqrt(q)"
+            f"sqrt({abs(a)}) and sqrt({abs(b)}) sum outside the form sign*sqrt(q)"
         )
-    cross = Fraction(num, den)
-    if a.sign == b.sign:
-        return ExactAmp(a.sign, a.mag2 + b.mag2 + 2 * cross)
-    if a.mag2 == b.mag2:
-        return ExactAmp(1, Fraction(0))
-    bigger = a if a.mag2 > b.mag2 else b
-    return ExactAmp(bigger.sign, a.mag2 + b.mag2 - 2 * cross)
+    cross = Fraction(2 * num, den)
+    if (a > 0) != (b > 0):
+        cross = -cross
+    mag2 = abs(a) + abs(b) + cross
+    # the sum takes the sign of the larger amplitude
+    return mag2 if (a if abs(a) >= abs(b) else b) > 0 else -mag2
 
 
 class FusionTerm(NamedTuple):
@@ -120,6 +97,8 @@ class FusionTerm(NamedTuple):
     fields hold only the kind, since the sizes come from the state.
     ``probe_phase`` counts the probe's accumulated phase in half-angle
     units, so a physical shift of one full Kerr angle is recorded as 2.
+    ``exact`` is the amplitude's signed square e: the amplitude is
+    sign(e)*sqrt(|e|).
     """
 
     reg_a: RegisterKind
@@ -129,7 +108,7 @@ class FusionTerm(NamedTuple):
     pol2: Polarization
     path2: PathLabel
     probe_phase: int
-    exact: ExactAmp
+    exact: Fraction
 
     @property
     def key(self) -> tuple:
@@ -139,7 +118,9 @@ class FusionTerm(NamedTuple):
     @property
     def amplitude(self) -> float:
         """Real float amplitude, derived from the exact one."""
-        return self.exact.to_float()
+        # int / int is the same correctly rounded value as float(|e|), cheaper
+        num, den = self.exact.numerator, self.exact.denominator
+        return math.sqrt(num / den) if num >= 0 else -math.sqrt(-num / den)
 
 
 @dataclass(frozen=True)
@@ -151,12 +132,10 @@ class BranchState:
     m_party_b: int
 
     def norm_squared(self) -> float:
-        return sum(
-            t.exact.mag2.numerator / t.exact.mag2.denominator for t in self.terms
-        )
+        return sum(abs(t.exact.numerator) / t.exact.denominator for t in self.terms)
 
     def norm_squared_exact(self) -> Fraction:
-        return sum((t.exact.mag2 for t in self.terms), Fraction(0))
+        return sum((abs(t.exact) for t in self.terms), Fraction(0))
 
 
 def make_branch_state(
@@ -179,7 +158,7 @@ def make_branch_state(
         if abs(term.probe_phase) > MAX_ABS_PROBE_PHASE:
             raise ValueError("probe phase outside the protocol range")
     # keys are unique now, so comparing whole terms never reaches an amplitude
-    kept = sorted(t for t in merged.values() if t.exact.mag2 != 0)
+    kept = sorted(t for t in merged.values() if t.exact != 0)
     state = BranchState(tuple(kept), n_party_a, m_party_b)
     if state.norm_squared() > 1.0 + NORM_EPS:
         raise ValueError("state norm exceeds 1")
@@ -246,7 +225,7 @@ def apply_bs(state: BranchState, photon_idx: int) -> BranchState:
     for term in state.terms:
         if getattr(term, path_field) is not PathLabel.UNSPLIT:
             raise ValueError("photon is already split")
-        half = term._replace(exact=term.exact.scaled_mag2(Fraction(1, 2)))
+        half = term._replace(exact=term.exact / 2)
         out.append(half._replace(**{path_field: first}))
         out.append(half._replace(**{path_field: second}))
     return _rebuild(state, out)
@@ -287,9 +266,9 @@ def apply_swap(state: BranchState) -> BranchState:
 
 def normalize_global_phase(state: BranchState) -> BranchState:
     """Make the leading canonical amplitude positive."""
-    if not state.terms or state.terms[0].exact.sign > 0:
+    if not state.terms or state.terms[0].exact > 0:
         return state
-    out = [t._replace(exact=t.exact.negated()) for t in state.terms]
+    out = [t._replace(exact=-t.exact) for t in state.terms]
     return _rebuild(state, out)
 
 
@@ -331,53 +310,3 @@ def state_to_json_obj(state: BranchState) -> list:
         }
         for t in state.terms
     ]
-
-
-# ---------------------------------------------------------------------------
-# mode matrices for the path-swap element
-# ---------------------------------------------------------------------------
-
-
-def beam_splitter_matrix() -> np.ndarray:
-    """Single-photon mode matrix of a balanced splitter."""
-    return np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2
-
-
-def phase_shift_matrix(phase: float) -> np.ndarray:
-    """Phase plate acting on the second of two modes."""
-    return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * phase)]])
-
-
-def mach_zehnder_mode_matrix() -> np.ndarray:
-    """Splitter, pi phase on the lower internal arm, splitter."""
-    bs = beam_splitter_matrix()
-    return bs @ phase_shift_matrix(math.pi) @ bs
-
-
-SWAP_MATRIX = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ]
-)
-
-
-def two_photon_routing_matrix(mode_matrix: np.ndarray) -> np.ndarray:
-    """Two-qubit action induced by routing two single-photon qubits.
-
-    Each qubit rides its own input line; the returned 4x4 block is the
-    amplitude for finding one photon per output line.  For routings that
-    are mode permutations the block is unitary.
-    """
-    m = np.asarray(mode_matrix, dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
-    for q1 in (0, 1):
-        for q2 in (0, 1):
-            col = 2 * q1 + q2
-            # both photons keep their lines
-            out[2 * q1 + q2, col] += m[0, 0] * m[1, 1]
-            # the photons exchange lines
-            out[2 * q2 + q1, col] += m[0, 1] * m[1, 0]
-    return out

@@ -25,10 +25,15 @@ input keeps its imaginary part.  Inner products are numpy ufunc reductions
 rather than ``vdot``, which would hand vectors to a multithreaded BLAS;
 ``ndarray.conj`` returns a real array itself, so a real inner product copies
 nothing.
+
+The module also holds the single-photon mode matrices of the interferometer
+behind the path swap, which check that a Mach-Zehnder routing realizes it.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -280,3 +285,55 @@ def brute_force_pipeline(n: int, m: int) -> dict[LeafKind, DenseLeaf]:
         LeafKind.RECYCLABLE_PAIR: DenseLeaf(p_pair, pair_state),
         LeafKind.RECYCLABLE_MERGED: DenseLeaf(merged_probability, merged_state),
     }
+
+
+# ---------------------------------------------------------------------------
+# mode matrices for the path-swap element
+# ---------------------------------------------------------------------------
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def beam_splitter_matrix() -> np.ndarray:
+    """Single-photon mode matrix of a balanced splitter."""
+    return np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2
+
+
+def phase_shift_matrix(phase: float) -> np.ndarray:
+    """Phase plate acting on the second of two modes."""
+    return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * phase)]])
+
+
+def mach_zehnder_mode_matrix() -> np.ndarray:
+    """Splitter, pi phase on the lower internal arm, splitter."""
+    bs = beam_splitter_matrix()
+    return bs @ phase_shift_matrix(math.pi) @ bs
+
+
+SWAP_MATRIX = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ]
+)
+
+
+def two_photon_routing_matrix(mode_matrix: np.ndarray) -> np.ndarray:
+    """Two-qubit action induced by routing two single-photon qubits.
+
+    Each qubit rides its own input line; the returned 4x4 block is the
+    amplitude for finding one photon per output line.  For routings that
+    are mode permutations the block is unitary.
+    """
+    m = np.asarray(mode_matrix, dtype=complex)
+    out = np.zeros((4, 4), dtype=complex)
+    for q1 in (0, 1):
+        for q2 in (0, 1):
+            col = 2 * q1 + q2
+            # both photons keep their lines
+            out[2 * q1 + q2, col] += m[0, 0] * m[1, 1]
+            # the photons exchange lines
+            out[2 * q2 + q1, col] += m[0, 1] * m[1, 0]
+    return out

@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .optics import round_sig12
+
 MAX_PLAN_SIZE = 10_000
 # the loss-free fusion is the only scheme; its name tags every output row
 SCHEME = "qlf"
@@ -174,8 +176,6 @@ class CampaignResult:
     recycling_enabled: bool
 
     def to_json_obj(self) -> dict:
-        from .optics import round_sig12
-
         return {
             "target": self.target_size,
             "trials": self.trials,

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .optics import (
     BranchState,
-    ExactAmp,
     FusionTerm,
     PathLabel,
     Polarization,
@@ -42,22 +41,12 @@ from .optics import (
 
 
 @dataclass(frozen=True)
-class PhaseClass:
-    """Homodyne-distinguishable group of probe phases, |k| in half-angle units."""
-
-    abs_half_theta: int
-
-    def __post_init__(self) -> None:
-        if self.abs_half_theta < 0:
-            raise ValueError("phase class index must be non-negative")
-
-
-@dataclass(frozen=True)
 class MeasurementBranch:
-    phase_class: PhaseClass
+    """One homodyne outcome; its phase class is |k| in half-angle units."""
+
+    phase_class: int
     probability_exact: Fraction
     post_state: BranchState
-    label: str
 
     @property
     def probability(self) -> float:
@@ -112,7 +101,7 @@ class OutcomeTree:
                     "label": st.label,
                     "branches": [
                         {
-                            "phaseClass": br.phase_class.abs_half_theta,
+                            "phaseClass": br.phase_class,
                             "prob": round_sig12(br.probability),
                             "state": state_to_json_obj(br.post_state),
                         }
@@ -154,7 +143,7 @@ def build_input_state(n: int, m: int) -> BranchState:
             pol2=pol2,
             path2=PathLabel.UNSPLIT,
             probe_phase=0,
-            exact=ExactAmp(1, Fraction(weight, nm)),
+            exact=Fraction(weight, nm),
         )
 
     all_h, w = RegisterKind.ALL_HORIZONTAL, RegisterKind.W_STATE
@@ -183,19 +172,13 @@ def homodyne_measure(state: BranchState) -> list[MeasurementBranch]:
     total = Fraction(0)
     for abs_k in sorted(groups):
         members = groups[abs_k]
-        prob = sum((t.exact.mag2 for t in members), Fraction(0))
+        prob = sum((abs(t.exact) for t in members), Fraction(0))
         total += prob
-        rescale = 1 / prob
-        post_terms = [
-            t._replace(probe_phase=0, exact=t.exact.scaled_mag2(rescale))
-            for t in members
-        ]
+        post_terms = [t._replace(probe_phase=0, exact=t.exact / prob) for t in members]
         post = normalize_global_phase(
             make_branch_state(post_terms, state.n_party_a, state.m_party_b)
         )
-        branches.append(
-            MeasurementBranch(PhaseClass(abs_k), prob, post, f"phase-class-{abs_k}")
-        )
+        branches.append(MeasurementBranch(abs_k, prob, post))
     if total != 1:
         raise ValueError("homodyne requires a normalized state")
     return branches
@@ -218,25 +201,22 @@ def step1_polarization_gate(state: BranchState) -> list[MeasurementBranch]:
 def step2_spatial_gate(state: BranchState) -> list[MeasurementBranch]:
     """Path gate: split both photons, phase-tag one path of each, measure.
 
-    Both branches are completed: the nonzero-phase branch gets the path
-    swap, then both receive the half-wave plates and the path couplers.
-    The two post-states must coincide exactly.
+    The path swap on the nonzero-phase branch must reproduce the zero-phase
+    branch exactly, so the gate is completed once: half-wave plates and path
+    couplers act on that common state, which both branches then carry.
     """
     s = apply_bs(state, 1)
     s = apply_bs(s, 2)
     s = cross_kerr_on_path(s, 1, PathLabel.S11, +2)
     s = cross_kerr_on_path(s, 2, PathLabel.S21, -2)
-    out = []
-    for br in homodyne_measure(s):
-        post = br.post_state
-        if br.phase_class.abs_half_theta != 0:
-            post = apply_swap(post)
-        post = apply_hwp45(post, 1, PathLabel.S11)
-        post = apply_hwp45(post, 2, PathLabel.S22)
-        post = apply_path_coupler(post, 1)
-        post = apply_path_coupler(post, 2)
-        out.append(replace(br, post_state=post))
-    return out
+    zero, two = homodyne_measure(s)
+    if apply_swap(two.post_state) != zero.post_state:
+        raise RuntimeError("spatial branches diverged after the swap")
+    post = apply_hwp45(zero.post_state, 1, PathLabel.S11)
+    post = apply_hwp45(post, 2, PathLabel.S22)
+    post = apply_path_coupler(post, 1)
+    post = apply_path_coupler(post, 2)
+    return [replace(zero, post_state=post), replace(two, post_state=post)]
 
 
 def step3_polarization_gate(state: BranchState) -> list[MeasurementBranch]:
@@ -249,7 +229,7 @@ def step3_polarization_gate(state: BranchState) -> list[MeasurementBranch]:
 
 def _branch_by_class(branches: list[MeasurementBranch], abs_k: int) -> MeasurementBranch:
     for br in branches:
-        if br.phase_class.abs_half_theta == abs_k:
+        if br.phase_class == abs_k:
             return br
     raise ValueError(f"no branch with phase class {abs_k}")
 
@@ -278,7 +258,7 @@ def project_recyclable(state: BranchState) -> tuple[int, ...]:
         else:
             raise ValueError("unexpected register pattern for a merged W state")
         seen.add(regs)
-        per_position.add((t.exact.sign, t.exact.mag2 / count))
+        per_position.add(t.exact / count)
     if len(seen) != 2:
         raise ValueError("merged W state must cover both register patterns")
     if len(per_position) != 1:
@@ -289,7 +269,8 @@ def project_recyclable(state: BranchState) -> tuple[int, ...]:
 def run_fusion(n: int, m: int) -> OutcomeTree:
     """Run the full pipeline and collect stages and classified leaves.
 
-    Leaf probabilities are cumulative from the root, exact, and checked to
+    Both spatial branches carry one completed state, so the second probe
+    gate runs once and is recorded under each of them.  Leaf probabilities are cumulative from the root, exact, and checked to
     sum to one.
     """
     state0 = build_input_state(n, m)
@@ -307,12 +288,8 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
     )
 
     stage2_branches = step2_spatial_gate(keep1.post_state)
-    if stage2_branches[0].post_state != stage2_branches[1].post_state:
-        raise RuntimeError("spatial branches diverged after the swap")
     stages.append(StageRecord("spatial-gate", tuple(stage2_branches)))
 
-    # the divergence check above makes stage 3 the same on both spatial
-    # branches, so it runs once and is recorded under each branch's label
     stage3_branches = tuple(step3_polarization_gate(stage2_branches[0].post_state))
     keep3 = _branch_by_class(stage3_branches, 1)
     drop3 = _branch_by_class(stage3_branches, 3)
@@ -322,7 +299,10 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
     merged_prob = Fraction(0)
     for br2 in stage2_branches:
         stages.append(
-            StageRecord(f"polarization-gate-2[via {br2.label}]", stage3_branches)
+            StageRecord(
+                f"polarization-gate-2[via phase-class-{br2.phase_class}]",
+                stage3_branches,
+            )
         )
         path_prob = keep1.probability_exact * br2.probability_exact
         success_prob += path_prob * keep3.probability_exact

@@ -16,18 +16,16 @@ import numpy as np
 
 from wfuse.cli import main as cli_main
 from wfuse.homodyne import p_error
-from wfuse.optics import (
-    ProbeConfig,
-    SWAP_MATRIX,
-    mach_zehnder_mode_matrix,
-    two_photon_routing_matrix,
-)
+from wfuse.optics import ProbeConfig
 from wfuse.oracle import (
+    SWAP_MATRIX,
     brute_force_pipeline,
     embed_register_state,
     expand_symbolic,
     fidelity,
+    mach_zehnder_mode_matrix,
     make_w_state,
+    two_photon_routing_matrix,
 )
 from wfuse.planner import (
     optimal_costs,
@@ -36,7 +34,6 @@ from wfuse.planner import (
 )
 from wfuse.protocol import (
     LeafKind,
-    PhaseClass,
     build_input_state,
     run_fusion,
     step1_polarization_gate,
@@ -54,7 +51,7 @@ def _stage_branch(tree, stage_label, abs_class):
     for stage in tree.stages:
         if stage.label == stage_label:
             for branch in stage.branches:
-                if branch.phase_class.abs_half_theta == abs_class:
+                if branch.phase_class == abs_class:
                     return branch
     raise AssertionError(f"missing {stage_label} class {abs_class}")
 
@@ -166,11 +163,11 @@ def test_criterion_5_swap_gate():
         keep1 = next(
             b
             for b in step1_polarization_gate(build_input_state(n, m))
-            if b.phase_class.abs_half_theta == 1
+            if b.phase_class == 1
         )
         zero, nonzero = step2_spatial_gate(keep1.post_state)
-        assert zero.phase_class.abs_half_theta == 0
-        assert nonzero.phase_class.abs_half_theta == 2
+        assert zero.phase_class == 0
+        assert nonzero.phase_class == 2
         assert zero.post_state == nonzero.post_state
     print(
         "PASS criterion 5: interferometer composition reproduces the swap "
@@ -180,12 +177,12 @@ def test_criterion_5_swap_gate():
 
 def test_criterion_6_homodyne_error():
     probe = ProbeConfig(90000.0, 0.01)
-    pe = p_error(probe, PhaseClass(0), PhaseClass(2))
+    pe = p_error(probe, 0, 2)
     assert abs(pe - 3.4e-6) / 3.4e-6 <= 0.15
 
     alphas = (30000.0, 60000.0, 90000.0, 120000.0, 240000.0)
     values = [
-        p_error(ProbeConfig(a, 0.01), PhaseClass(0), PhaseClass(2))
+        p_error(ProbeConfig(a, 0.01), 0, 2)
         for a in alphas
     ]
     assert all(x > y for x, y in zip(values, values[1:]))

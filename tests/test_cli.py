@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -70,7 +71,8 @@ def test_every_float_is_derived_from_the_exact_track(capsys):
             assert rec.probability == float(rec.probability_exact)
         states = [lf.state for lf in tree.leaves] + [br.post_state for br in branches]
         for t in (t for state in states for t in state.terms):
-            assert t.amplitude == t.exact.to_float()
+            sign = 1 if t.exact > 0 else -1
+            assert t.amplitude == sign * math.sqrt(float(abs(t.exact)))
         code, out, _ = run_cli(
             capsys, ["fuse", "-n", str(n), "-m", str(m), "--format", "csv"]
         )
@@ -468,6 +470,20 @@ def test_package_root_imports_nothing():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_symbolic_pipeline_imports_no_numpy():
+    """The term algebra, the pipeline and the readout model are pure Python;
+    only the dense oracle and the planner need numpy."""
+    code = (
+        "import sys, wfuse.protocol, wfuse.homodyne; "
+        "print('numpy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wfuse.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_bench_tracer_patch_points_exist():
     """The benchmark's tracer patches wfuse by name and reads the qubit count
     from brute_force_pipeline's positional arguments; a renamed or rewired
@@ -558,3 +574,18 @@ def test_stdout_matches_recorded_digest(capsys, name):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the concatenated stdout of `fuse -n N -m M` for N, M in 2..12,
+# N in the outer loop
+FUSE_GRID_SHA256 = "7b4c3b6ddb0253ea1dec238656605a77f29259d829453a0116274dd44bec1c55"
+
+
+def test_fuse_grid_stdout_matches_recorded_digest(capsys):
+    digest = hashlib.sha256()
+    for n in range(2, 13):
+        for m in range(2, 13):
+            code, out, _ = run_cli(capsys, ["fuse", "-n", str(n), "-m", str(m)])
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == FUSE_GRID_SHA256

@@ -13,10 +13,9 @@ from scipy import integrate
 
 from wfuse.homodyne import class_mean, discrimination_report, p_error
 from wfuse.optics import ProbeConfig
-from wfuse.protocol import PhaseClass
 
 OPERATING_POINT = ProbeConfig(90000.0, 0.01)
-C0, C1, C2, C3 = PhaseClass(0), PhaseClass(1), PhaseClass(2), PhaseClass(3)
+C0, C1, C2, C3 = 0, 1, 2, 3
 
 
 def overlap_error(probe, class_a, class_b) -> float:

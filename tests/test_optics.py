@@ -11,9 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfuse.optics import (
-    SWAP_MATRIX,
     BranchState,
-    ExactAmp,
     FusionTerm,
     PathLabel,
     Polarization,
@@ -24,16 +22,19 @@ from wfuse.optics import (
     apply_hwp45,
     apply_path_coupler,
     apply_swap,
-    beam_splitter_matrix,
     cross_kerr_on_path,
     cross_kerr_on_polarization,
-    mach_zehnder_mode_matrix,
     make_branch_state,
     normalize_global_phase,
-    phase_shift_matrix,
     probe_linear_shift,
     round_sig12,
     state_to_json_obj,
+)
+from wfuse.oracle import (
+    SWAP_MATRIX,
+    beam_splitter_matrix,
+    mach_zehnder_mode_matrix,
+    phase_shift_matrix,
     two_photon_routing_matrix,
 )
 from wfuse.protocol import build_input_state
@@ -46,7 +47,7 @@ UNSPLIT = PathLabel.UNSPLIT
 ALL_H = RegisterKind.ALL_HORIZONTAL
 
 
-ONE = ExactAmp(1, Fraction(1))
+ONE = Fraction(1)
 
 
 def make_term(pol1, pol2, exact, k=0, path1=UNSPLIT, path2=UNSPLIT, reg_b=ALL_H):
@@ -85,10 +86,10 @@ def test_kerr_polarization_shifts_only_matches():
 
 
 def test_kerr_polarization_amplitude_untouched():
-    state = single_term_state(H, V, ExactAmp(1, Fraction(1, 4)))
+    state = single_term_state(H, V, Fraction(1, 4))
     out = cross_kerr_on_polarization(state, 1, H, -2)
     assert out.terms[0].amplitude == 0.5
-    assert out.terms[0].exact == ExactAmp(1, Fraction(1, 4))
+    assert out.terms[0].exact == Fraction(1, 4)
     assert out.terms[0].probe_phase == -2
 
 
@@ -158,7 +159,7 @@ def test_bs_splits_with_equal_weights():
     assert paths == {PathLabel.S11, PathLabel.S12}
     for t in out.terms:
         assert abs(t.amplitude - 1 / math.sqrt(2)) < ABS_TOL
-        assert t.exact.mag2 == Fraction(1, 2)
+        assert abs(t.exact) == Fraction(1, 2)
 
 
 def test_bs_on_both_photons_gives_four_paths():
@@ -199,8 +200,8 @@ def test_coupler_merges_amplitudes_without_rescale():
     # 3/10 + 4/10 = 7/10, exactly: sqrt(9/100) + sqrt(16/100) = sqrt(49/100)
     state = make_branch_state(
         [
-            make_term(H, V, ExactAmp(1, Fraction(9, 100)), path1=PathLabel.S11),
-            make_term(H, V, ExactAmp(1, Fraction(16, 100)), path1=PathLabel.S12),
+            make_term(H, V, Fraction(9, 100), path1=PathLabel.S11),
+            make_term(H, V, Fraction(16, 100), path1=PathLabel.S12),
         ],
         2,
         2,
@@ -208,16 +209,16 @@ def test_coupler_merges_amplitudes_without_rescale():
     out = apply_path_coupler(state, 1)
     assert len(out.terms) == 1
     assert abs(out.terms[0].amplitude - 0.7) < ABS_TOL
-    assert out.terms[0].exact == ExactAmp(1, Fraction(49, 100))
+    assert out.terms[0].exact == Fraction(49, 100)
     assert out.terms[0].path1 is UNSPLIT
 
 
 def test_coupler_drops_destructive_terms():
-    half = ExactAmp(1, Fraction(1, 4))
+    half = Fraction(1, 4)
     state = make_branch_state(
         [
             make_term(H, V, half, path1=PathLabel.S11),
-            make_term(H, V, half.negated(), path1=PathLabel.S12),
+            make_term(H, V, -half, path1=PathLabel.S12),
         ],
         2,
         2,
@@ -230,7 +231,7 @@ def test_bs_then_coupler_preserves_polarization_content():
     base = build_input_state(2, 2)
     halved = make_branch_state(
         [
-            t._replace(exact=t.exact.scaled_mag2(Fraction(1, 2)))
+            t._replace(exact=t.exact * Fraction(1, 2))
             for t in base.terms
         ],
         2,
@@ -288,7 +289,7 @@ def test_bs_and_phase_matrices_are_unitary():
 def test_normalize_global_phase_flips_negative_lead():
     state = build_input_state(2, 2)
     negated = make_branch_state(
-        [t._replace(exact=t.exact.negated()) for t in state.terms],
+        [t._replace(exact=-t.exact) for t in state.terms],
         2,
         2,
     )
@@ -298,7 +299,7 @@ def test_normalize_global_phase_flips_negative_lead():
 
 
 def test_merge_canonicalization_no_duplicate_keys():
-    term = make_term(H, V, ExactAmp(1, Fraction(1, 4)))
+    term = make_term(H, V, Fraction(1, 4))
     state = make_branch_state([term, term], 2, 2)
     assert len(state.terms) == 1
     assert abs(state.terms[0].amplitude - 1.0) < ABS_TOL
@@ -308,8 +309,8 @@ def test_merge_canonicalization_no_duplicate_keys():
 def test_merge_outside_exact_form_raises():
     # sqrt(1/8) + sqrt(1/12) is not a signed square root of a rational
     terms = [
-        make_term(H, V, ExactAmp(1, Fraction(1, 8))),
-        make_term(H, V, ExactAmp(1, Fraction(1, 12))),
+        make_term(H, V, Fraction(1, 8)),
+        make_term(H, V, Fraction(1, 12)),
     ]
     with pytest.raises(ValueError):
         make_branch_state(terms, 2, 2)
@@ -317,7 +318,7 @@ def test_merge_outside_exact_form_raises():
 
 def test_norm_cap_enforced():
     with pytest.raises(ValueError):
-        single_term_state(H, V, ExactAmp(1, Fraction(121, 100)))
+        single_term_state(H, V, Fraction(121, 100))
 
 
 def test_probe_config_validation():
@@ -331,13 +332,23 @@ def test_probe_config_validation():
 
 
 def test_exact_amp_addition():
-    half = ExactAmp(1, Fraction(1, 2))
+    half = Fraction(1, 2)
     doubled = add_exact(half, half)
-    assert doubled == ExactAmp(1, Fraction(2))
-    cancel = add_exact(half, half.negated())
-    assert cancel.mag2 == 0
+    assert doubled == Fraction(2)
+    cancel = add_exact(half, -half)
+    assert abs(cancel) == 0
+    # sqrt(1/4) = 1/2 and sqrt(1/16) = 1/4: the sum has the larger one's sign
+    big, small = Fraction(1, 4), Fraction(1, 16)
+    for a, b, total in [
+        (big, small, Fraction(9, 16)),
+        (big, -small, Fraction(1, 16)),
+        (-big, small, -Fraction(1, 16)),
+        (-big, -small, -Fraction(9, 16)),
+        (Fraction(0), -small, -small),
+    ]:
+        assert add_exact(a, b) == add_exact(b, a) == total
     with pytest.raises(ValueError):
-        add_exact(ExactAmp(1, Fraction(1, 2)), ExactAmp(1, Fraction(1, 3)))
+        add_exact(Fraction(1, 2), Fraction(1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +411,7 @@ def random_states(draw, merging=False):
         make_term(
             pol1,
             pol2,
-            ExactAmp(1 if w > 0 else -1, Fraction(w * w, total)),
+            (1 if w > 0 else -1) * Fraction(w * w, total),
             k,
             reg_b=RegisterKind.W_STATE if pol1 is H and not merging else ALL_H,
         )
@@ -451,9 +462,9 @@ def test_canonical_states_have_unique_keys(state):
 @example(  # two keys cancel exactly, one survives
     make_branch_state(
         [
-            make_term(H, V, ExactAmp(1, Fraction(1, 4))),
-            make_term(V, V, ExactAmp(-1, Fraction(1, 4))),
-            make_term(H, H, ExactAmp(1, Fraction(1, 4))),
+            make_term(H, V, Fraction(1, 4)),
+            make_term(V, V, -Fraction(1, 4)),
+            make_term(H, H, Fraction(1, 4)),
         ],
         2,
         2,
@@ -466,7 +477,8 @@ def test_exact_track_follows_float_through_merges(state):
     flip = {H: V, V: H}
     expected: dict[tuple, float] = {}
     for t in state.terms:
-        half = t.exact.sign * math.sqrt(float(t.exact.mag2)) / math.sqrt(2)
+        sign = 1 if t.exact > 0 else -1
+        half = sign * math.sqrt(float(abs(t.exact))) / math.sqrt(2)
         # the s12 half keeps its polarization, the s11 half has it flipped
         for pol1 in (t.pol1, flip[t.pol1]):
             key = t._replace(pol1=pol1).key
@@ -477,4 +489,4 @@ def test_exact_track_follows_float_through_merges(state):
     s = apply_path_coupler(s, 1)
     assert [t.key for t in s.terms] == sorted(survivors)
     for t in s.terms:
-        assert abs(t.exact.to_float() - survivors[t.key]) < 1e-9
+        assert abs(t.amplitude - survivors[t.key]) < 1e-9

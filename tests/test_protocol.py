@@ -19,7 +19,6 @@ from wfuse.optics import (
 )
 from wfuse.protocol import (
     LeafKind,
-    PhaseClass,
     build_input_state,
     homodyne_measure,
     project_recyclable,
@@ -51,7 +50,7 @@ def test_input_2_2_has_four_equal_components():
     for amp in amps.values():
         assert abs(amp - 0.5) < ABS_TOL
     for t in state.terms:
-        assert t.exact.mag2 == Fraction(1, 4)
+        assert abs(t.exact) == Fraction(1, 4)
 
 
 def test_input_3_2_amplitudes():
@@ -91,7 +90,7 @@ def test_input_rejects_small_parties():
 def test_homodyne_groups_first_gate_output():
     state = build_input_state(2, 2)
     branches = step1_polarization_gate(state)
-    assert [b.phase_class.abs_half_theta for b in branches] == [1, 3]
+    assert [b.phase_class for b in branches] == [1, 3]
     assert abs(branches[0].probability - 0.75) < ABS_TOL
     assert branches[0].probability_exact == Fraction(3, 4)
     assert branches[1].probability_exact == Fraction(1, 4)
@@ -110,7 +109,7 @@ def test_homodyne_single_class_probability_one():
     state = build_input_state(2, 2)
     branches = homodyne_measure(state)
     assert len(branches) == 1
-    assert branches[0].phase_class == PhaseClass(0)
+    assert branches[0].phase_class == 0
     assert abs(branches[0].probability - 1.0) < ABS_TOL
 
 
@@ -178,12 +177,12 @@ def test_step2_intermediate_zero_branch_structure():
     s = cross_kerr_on_path(s, 1, PathLabel.S11, +2)
     s = cross_kerr_on_path(s, 2, PathLabel.S21, -2)
     zero = homodyne_measure(s)[0]
-    assert zero.phase_class == PhaseClass(0)
+    assert zero.phase_class == 0
     assert abs(zero.probability - 0.5) < ABS_TOL
     combos = {(t.path1, t.path2) for t in zero.post_state.terms}
     assert combos == {(PathLabel.S11, PathLabel.S21), (PathLabel.S12, PathLabel.S22)}
     for t in zero.post_state.terms:
-        assert abs(abs(t.amplitude) ** 2 - t.exact.mag2) < ABS_TOL
+        assert abs(abs(t.amplitude) ** 2 - abs(t.exact)) < ABS_TOL
 
 
 def test_step2_branches_agree_exactly():
@@ -193,6 +192,12 @@ def test_step2_branches_agree_exactly():
         assert zero.probability_exact == Fraction(1, 2)
         assert nonzero.probability_exact == Fraction(1, 2)
         assert zero.post_state == nonzero.post_state
+
+
+def test_step2_rejects_branches_the_swap_does_not_align(monkeypatch):
+    monkeypatch.setattr("wfuse.protocol.apply_swap", lambda state: state)
+    with pytest.raises(RuntimeError, match="diverged after the swap"):
+        run_fusion(3, 2)
 
 
 def test_step2_merged_state_2_2():
@@ -285,8 +290,8 @@ def test_project_recyclable_rejects_unequal_per_position_amplitudes():
     merged = step2_spatial_gate(keep)[0].post_state
     drop = step3_polarization_gate(merged)[1].post_state
     first, second = drop.terms
-    flipped = second._replace(exact=second.exact.negated())
-    shrunk = second._replace(exact=second.exact.scaled_mag2(Fraction(1, 4)))
+    flipped = second._replace(exact=-second.exact)
+    shrunk = second._replace(exact=second.exact * Fraction(1, 4))
     for bad in (flipped, shrunk):
         with pytest.raises(ValueError, match="unequal"):
             project_recyclable(BranchState((first, bad), 3, 4))
