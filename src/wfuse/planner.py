@@ -1,8 +1,8 @@
 """Resource planning on top of the fusion pipeline.
 
 Costs count expected seed states under the accounting where a failed
-fusion destroys both inputs; the dynamic program picks the cheapest split
-for every reachable size.  The campaign simulator estimates the same
+fusion destroys both inputs; the balanced-split recursion gives the cheapest
+split for every reachable size.  The campaign simulator estimates the same
 quantity by Monte Carlo and can optionally feed recyclable failure
 products back into production, which the analytic accounting ignores.
 """
@@ -51,40 +51,24 @@ class CostTable:
     entries: dict
 
 
-# relative width of the float prescreen's window; see optimal_costs
-PRESCREEN_WINDOW = 1e-9
-
-
 def optimal_costs(seed_size: int, seed_cost, max_size: int) -> CostTable:
     """Cheapest fusion plan for every size reachable from one seed.
 
-    Costs and splits are exact fractions.  Ties go to the most balanced
-    split.  Sizes are settled in ascending order: fusing ``left <= right``
-    gives ``size = left + right``, and both parts are smaller than it.
+    Costs and splits are exact fractions.  The reachable sizes are the
+    multiples ``k * seed_size``, and the cheapest plan for each is the
+    balanced split ``left, right = (k // 2) * seed_size,
+    (k - k // 2) * seed_size`` with cost
+    ``(c[left] + c[right]) / ps_qlf(left, right)``.  So the table takes one
+    exact step per reachable size.
 
-    A float prescreen picks the candidate splits, and exact arithmetic
-    decides among them.  The cost of ``(left, right)`` is
-    ``(c[left] + c[right]) / ps_qlf(left, right)``, which is
-    ``(c[left] + c[right]) * left * right`` times the constant ``2 / size``.
-    Costs are linear in the seed cost, so the prescreen scores every
-    ``left`` in one numpy pass with the unit costs
-    ``u[s] = float(c[s] / seed_cost)``:
-    ``score = (u[left] + u[right]) * (left * right)``.  An unreachable size
-    has ``u = inf``, and so does every score that uses it.
-
-    Window bound.  Each ``u[s]`` is the correctly rounded value of an exact
-    number, so rounding errors do not carry from one size to the next.
-    ``left * right <= 2.5e7`` is an exact float.  A score then takes at most
-    4 roundings from exact inputs (two conversions, the sum, the product),
-    so its relative error is at most ``d = 4 * 2**-53 ~ 4.4e-16``.  Unit
-    costs are at least 1 and below about 2**100 at size 10000, so nothing
-    underflows or overflows, whatever the seed cost.  If ``S`` is the exact
-    minimum score, every float score is at least ``S * (1 - d)``, and the
-    float score of any exact minimiser is at most ``S * (1 + d)``.  So the
-    window ``score <= min * (1 + PRESCREEN_WINDOW)`` holds every exact
-    minimiser, since ``(1 + d) / (1 - d) < 1 + 1e-9`` by far.  The kept
-    candidates are checked exactly from the most balanced down, and a later
-    one wins only with a strictly lower cost.
+    No proof is known that the balanced split is optimal at every size.
+    What backs it is a bounded check over the whole domain this function
+    accepts (``tests/test_planner.py``): an exact dynamic program that
+    scores every split, with ties going to the most balanced one, picks the
+    balanced split for every seed 2..5000 at ``MAX_PLAN_SIZE``.  Larger
+    seeds reach only themselves.  A smaller maximum gives a prefix of the
+    same table, and costs are linear in the seed cost, so neither changes
+    the choice.
     """
     if seed_size < 2:
         raise ValueError("seed size must be >= 2")
@@ -97,37 +81,13 @@ def optimal_costs(seed_size: int, seed_cost, max_size: int) -> CostTable:
     if seed_size > max_size:
         return CostTable(seed_size, seed_cost, entries)
     entries[seed_size] = CostEntry(seed_cost, None)
-    unit = np.full(max_size + 1, np.inf)
-    unit[seed_size] = 1.0
-    sizes = np.arange(max_size + 1, dtype=np.float64)
-    # preallocated, so each size allocates only its small window arrays
-    width = max(max_size // 2 - seed_size + 1, 0)
-    score_buf, pairs_buf = np.empty(width), np.empty(width)
-    for size in range(2 * seed_size, max_size + 1):
-        n = size // 2 - seed_size + 1
-        lefts = slice(seed_size, seed_size + n)
-        # reversed, the right parts line up with lefts: right = size - left
-        rights = slice(size - seed_size - n + 1, size - seed_size + 1)
-        score, pairs = score_buf[:n], pairs_buf[:n]
-        np.multiply(sizes[lefts], sizes[rights][::-1], out=pairs)
-        np.add(unit[lefts], unit[rights][::-1], out=score)
-        np.multiply(score, pairs, out=score)
-        low = score.min()
-        if low == np.inf:
-            continue
-        window = np.flatnonzero(score <= low * (1 + PRESCREEN_WINDOW))
-        best_cost = best_split = None
-        for i in window[::-1].tolist():
-            left = seed_size + i
-            right = size - left
-            # the module global, so a patched ps_qlf sees these calls too
-            cost = (entries[left].opt_cost + entries[right].opt_cost) / ps_qlf(
-                left, right
-            )
-            if best_cost is None or cost < best_cost:
-                best_cost, best_split = cost, (left, right)
-        entries[size] = CostEntry(best_cost, best_split)
-        unit[size] = float(best_cost / seed_cost)
+    for k in range(2, max_size // seed_size + 1):
+        left, right = (k // 2) * seed_size, (k - k // 2) * seed_size
+        # the module global, so a patched ps_qlf sees these calls too
+        cost = (entries[left].opt_cost + entries[right].opt_cost) / ps_qlf(
+            left, right
+        )
+        entries[k * seed_size] = CostEntry(cost, (left, right))
     return CostTable(seed_size, seed_cost, entries)
 
 
@@ -257,7 +217,7 @@ def run_campaign(
 ) -> CampaignResult:
     """Monte-Carlo estimate of seeds consumed per target state produced.
 
-    Follows the dynamic program's best splits; with recycling on, failure
+    Follows the planner's best splits; with recycling on, failure
     products of size >= 2 go to a pool that future needs draw from first.
     One generator, seeded with ``rng_seed``, feeds every trial in order, so
     which draws a trial reads depends on the trials before it: trials are

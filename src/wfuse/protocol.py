@@ -270,8 +270,8 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
     """Run the full pipeline and collect stages and classified leaves.
 
     Both spatial branches carry one completed state, so the second probe
-    gate runs once and is recorded under each of them.  Leaf probabilities are cumulative from the root, exact, and checked to
-    sum to one.
+    gate runs once and is recorded under each of them.  Leaf probabilities
+    are cumulative from the root, exact, and checked to sum to one.
     """
     state0 = build_input_state(n, m)
     stage1_branches = step1_polarization_gate(state0)

@@ -1,8 +1,10 @@
 """Tests for the resource planner and the sampling campaign.
 
-The dynamic program is validated against a brute-force enumeration of every
-fusion tree reachable from the seed, carried out in exact rational arithmetic,
-and against the quadratic exact DP that scores every split in Fractions.
+The planner's balanced recursion is validated against a brute-force
+enumeration of every fusion tree reachable from the seed, carried out in exact
+rational arithmetic, against the quadratic exact DP that scores every split in
+Fractions, and against a prescreened exact DP over every seed and size that
+``optimal_costs`` accepts.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from wfuse import planner
 from wfuse.planner import (
     CSV_HEADER,
+    MAX_PLAN_SIZE,
     CostEntry,
     CostTable,
     cost_tables_csv,
@@ -206,15 +210,113 @@ def test_unreachable_sizes_are_absent():
 )
 @pytest.mark.parametrize("seed", range(2, 8))
 def test_dynamic_program_matches_reference(seed, seed_cost):
-    """The prescreened DP picks the costs and splits of the full exact one.
+    """The balanced recursion picks the costs and splits of the full exact DP.
 
-    A seed cost of 1e308 would overflow a prescreen that scored at the real
-    seed cost, and sizes would drop out of the table.
+    The seed costs 1e308 and 3e-300 pin that no step of the table passes
+    through a float, which would overflow or underflow at these values.
     """
     for max_size in (1, seed, 2 * seed, 97, 300):
         table = optimal_costs(seed, seed_cost, max_size)
         expected = _reference_costs(seed, seed_cost, max_size)
         assert table.entries == expected, (seed, seed_cost, max_size)
+
+
+# relative width of the float prescreen's window; see _prescreened_costs
+PRESCREEN_WINDOW = 1e-9
+
+
+def _prescreened_costs(seed_size: int, max_size: int) -> tuple:
+    """The exact DP over every split, with a float prescreen, at seed cost 1.
+
+    Returns the cost table's entries and the number of sizes whose best
+    split is not the balanced one.  Only the multiples ``k * seed_size`` are
+    reachable, so the DP runs in units of the seed ``s``:
+    ``k = left + right`` in units.  The cost of ``(left, right)`` is
+    ``(c[left] + c[right]) / ps_qlf(left * s, right * s)``, which is
+    ``(c[left] + c[right]) * left * right`` times the constant ``2 s / k``.
+    So the prescreen scores every ``left <= right`` in one numpy pass with
+    the unit costs ``u[k] = float(c[k])``:
+    ``score = (u[left] + u[right]) * (left * right)``.  The kept candidates
+    are checked exactly from the most balanced down, and a later one wins
+    only with a strictly lower cost.
+
+    Window bound.  Each ``u[k]`` is the correctly rounded value of an exact
+    number, so rounding errors do not carry from one size to the next.
+    ``left * right <= 2500**2`` is an exact float.  A score then takes at most
+    4 roundings from exact inputs (two conversions, the sum, the product),
+    so its relative error is at most ``d = 4 * 2**-53 ~ 4.4e-16``.  Unit
+    costs are at least 1 and below 2**95 up to size 10000, so nothing
+    underflows or overflows.  If ``S`` is the exact minimum score, every
+    float score is at least ``S * (1 - d)``, and the float score of any
+    exact minimiser is at most ``S * (1 + d)``.  So the window
+    ``score <= min * (1 + PRESCREEN_WINDOW)`` holds every exact minimiser,
+    since ``(1 + d) / (1 - d) < 1 + 1e-9`` by far.
+    """
+    top = max_size // seed_size
+    exact = [None, Fraction(1)]
+    unit = np.empty(top + 1)
+    unit[1] = 1.0
+    units = np.arange(top + 1, dtype=np.float64)
+    entries = {seed_size: CostEntry(Fraction(1), None)}
+    exceptions = 0
+    for k in range(2, top + 1):
+        n = k // 2
+        lefts = units[1 : n + 1]
+        # the right parts k - 1 down to k - n line up with lefts 1..n
+        score = (unit[1 : n + 1] + unit[k - 1 : k - n - 1 : -1]) * (
+            lefts * (k - lefts)
+        )
+        window = np.flatnonzero(score <= score.min() * (1 + PRESCREEN_WINDOW))
+        best_cost = best_left = None
+        for left in (window[::-1] + 1).tolist():
+            right = k - left
+            cost = (exact[left] + exact[right]) / ps_qlf(
+                left * seed_size, right * seed_size
+            )
+            if best_cost is None or cost < best_cost:
+                best_cost, best_left = cost, left
+        exceptions += best_left != n
+        exact.append(best_cost)
+        unit[k] = float(best_cost)
+        entries[k * seed_size] = CostEntry(
+            best_cost, (best_left * seed_size, (k - best_left) * seed_size)
+        )
+    return entries, exceptions
+
+
+def test_balanced_split_is_optimal_over_the_whole_domain():
+    """Every seed 2..5000 at the largest max size picks the balanced split.
+
+    Seeds above 5000 reach only themselves.  A smaller max size gives a
+    prefix of the same table, in the DP as in the recursion, and costs are
+    linear in the seed cost, so the argmin does not depend on it.  This
+    bounded check is what backs ``optimal_costs``; no proof for unbounded
+    sizes is known.
+    """
+    sizes = exceptions = 0
+    for seed in range(2, MAX_PLAN_SIZE // 2 + 1):
+        expected, missed = _prescreened_costs(seed, MAX_PLAN_SIZE)
+        sizes += len(expected) - 1
+        exceptions += missed
+        assert optimal_costs(seed, 1, MAX_PLAN_SIZE).entries == expected, seed
+    assert (sizes, exceptions) == (73_669, 0)
+
+
+def test_optimal_costs_calls_ps_qlf_through_the_module(monkeypatch):
+    """One ps_qlf call per reachable size, through the module global.
+
+    The bench tracer counts ps_qlf by patching this name; a binding that
+    let the DP's calls escape the patch would count 0.
+    """
+    calls = []
+
+    def counting(n, m):
+        calls.append((n, m))
+        return ps_qlf(n, m)
+
+    monkeypatch.setattr(planner, "ps_qlf", counting)
+    optimal_costs(2, 1, 2000)
+    assert len(calls) == 999
 
 
 def test_max_size_below_seed_yields_empty_table():
@@ -360,6 +462,19 @@ def test_recycling_campaign_at_target_4_consumes_seven_halves():
     """
     result = run_campaign(4, 2, 200_000, recycling=True, rng_seed=41)
     assert abs(result.mean_seeds_consumed - 3.5) < 4 * result.std_error
+
+
+def test_recycling_campaign_at_target_8_consumes_twenty_eight():
+    """Target 8 fuses two W_4 with p = ps_qlf(4, 4) = 1/4.  A W_4 costs 7/2
+    seeds, as at target 4: each W_4 attempt draws a pooled W_2 first, so the
+    pool holds no W_2 when a W_4 finishes, and every W_4 starts from an
+    empty pool.  A failed W_8 fusion leaves two W_3 or one W_6, sizes the
+    tree never requests, so nothing carries over between W_8 attempts.  The
+    attempts are geometric with mean 4, each costs 2 * 7/2 seeds, and the
+    mean is 4 * 2 * 7/2 = 28.
+    """
+    result = run_campaign(8, 2, 50_000, recycling=True, rng_seed=88)
+    assert abs(result.mean_seeds_consumed - 28) < 4 * result.std_error
 
 
 def test_campaign_at_seed_size_consumes_one_seed():
