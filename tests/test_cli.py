@@ -11,6 +11,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,8 @@ import pytest
 import wfuse
 from wfuse.cli import main
 from wfuse.protocol import LeafKind, run_fusion
+
+from record_contract import ENV_SET, ENV_UNSET, corpus_argvs, read_corpus, record
 
 
 def run_cli(capsys, argv):
@@ -589,3 +592,18 @@ def test_fuse_grid_stdout_matches_recorded_digest(capsys):
             assert code == 0
             digest.update(out.encode())
     assert digest.hexdigest() == FUSE_GRID_SHA256
+
+
+def test_contract_corpus_replays(tmp_path, monkeypatch):
+    """Every invocation of tests/contract.txt keeps its exit code, stdout,
+    stderr and written files; tests/record_contract.py re-records them."""
+    for name, value in ENV_SET.items():
+        monkeypatch.setenv(name, value)
+    for name in ENV_UNSET:
+        monkeypatch.delenv(name, raising=False)
+    corpus = read_corpus()
+    assert set(corpus) == {shlex.join(argv) for argv in corpus_argvs()}
+    changed = [
+        argv for argv, line in corpus.items() if record(shlex.split(argv), tmp_path) != line
+    ]
+    assert changed == []
