@@ -30,7 +30,13 @@ from .oracle import (
     fidelity,
     make_w_state,
 )
-from .planner import MAX_PLAN_SIZE, cost_tables_csv, plot_data, run_campaign
+from .planner import (
+    MAX_PLAN_SIZE,
+    MAX_TRIALS,
+    cost_tables_csv,
+    plot_data,
+    run_campaign,
+)
 from .protocol import LeafKind, run_fusion
 
 DEFAULT_ALPHA = 90000.0
@@ -126,7 +132,11 @@ def cmd_plan(args) -> int:
     if not 2 <= args.max <= MAX_PLAN_SIZE:
         _err(f"--max must be in 2..{MAX_PLAN_SIZE}")
         return 2
-    if args.out and Path(args.out).with_suffix(".dat") == Path(args.out):
+    out = None if args.out is None else Path(args.out)
+    if out is not None and not out.name:
+        _err(f"--out must name a file, got {args.out!r}")
+        return 2
+    if out is not None and out.with_suffix(".dat") == out:
         _err(f"--out {args.out} would be overwritten by its own .dat plot data")
         return 2
     # looked up on the module, so a patched planner.optimal_costs (as in the
@@ -144,9 +154,8 @@ def cmd_plan(args) -> int:
     except OverflowError:
         _err("costs overflow a float; lower --seed-cost")
         return 2
-    if args.out:
+    if out is not None:
         # written before stdout, so a failed write leaves no partial output
-        out = Path(args.out)
         try:
             out.write_text(csv_text)
             try:
@@ -180,6 +189,9 @@ def cmd_campaign(args) -> int:
         return 2
     if args.trials < 1:
         _err("--trials must be >= 1")
+        return 2
+    if args.trials > MAX_TRIALS:
+        _err(f"--trials must be in 1..{MAX_TRIALS}")
         return 2
     rng_seed, source = args.rng, "--rng"
     if rng_seed is None:

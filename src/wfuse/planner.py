@@ -19,6 +19,8 @@ import numpy as np
 from .optics import round_sig12
 
 MAX_PLAN_SIZE = 10_000
+# the campaign keeps one float64 count per trial: at most an 80 MB array
+MAX_TRIALS = 10_000_000
 # the loss-free fusion is the only scheme; its name tags every output row
 SCHEME = "qlf"
 
@@ -224,8 +226,8 @@ def run_campaign(
     statistically independent but no longer order-independent.  The output
     is deterministic for each seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}")
     table = optimal_costs(seed_size, 1, target_size)
     if target_size not in table.entries:
         raise ValueError(

@@ -123,6 +123,7 @@ def corpus_argvs() -> list[list[str]]:
         ["campaign", "--target", "4", "--seed-size", "1"],
         ["campaign", "--target", "4", "--trials", "0"],
         ["campaign", "--target", "4", "--trials", "-3"],
+        ["campaign", "--target", "2", "--trials", "10000001"],
         ["campaign", "--target", "4", "--trials", "10", "--rng", "-1"],
         ["campaign", "--target", "x"],
         ["campaign"],

@@ -227,6 +227,15 @@ def test_plan_rejects_out_that_its_plot_data_would_overwrite(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", ["/", ".", ""], ids=["root", "dot", "empty"])
+def test_plan_rejects_out_that_names_no_file(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(capsys, ["plan", "--max", "4", "--out", out])
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --out must name a file, got {out!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_plan_unreachable_seed_notes_on_stderr(capsys):
     code, out, err = run_cli(capsys, ["plan", "--seed", "7", "--max", "6"])
     assert code == 0
@@ -320,6 +329,12 @@ def test_campaign_rejects_unreachable_target(capsys):
 def test_campaign_target_over_cap_names_the_option(capsys):
     code, out, err = run_cli(capsys, ["campaign", "--target", "20000"])
     assert (code, out, err) == (2, "", "error: --target must be in 2..10000\n")
+
+
+def test_campaign_trials_over_cap_names_the_option(capsys):
+    argv = ["campaign", "--target", "2", "--trials", "10000001"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", "error: --trials must be in 1..10000000\n")
 
 
 def test_bad_seed_environment_only_affects_campaign(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from wfuse import planner
 from wfuse.planner import (
     CSV_HEADER,
     MAX_PLAN_SIZE,
+    MAX_TRIALS,
     CostEntry,
     CostTable,
     cost_tables_csv,
@@ -379,6 +380,9 @@ def test_campaign_rejects_bad_arguments():
         run_campaign(4, 2, 0, recycling=False, rng_seed=1)
     with pytest.raises(ValueError):
         run_campaign(5, 2, 100, recycling=False, rng_seed=1)
+    # rejected before a count array of MAX_TRIALS + 1 floats is allocated
+    with pytest.raises(ValueError, match="trials must be in 1.."):
+        run_campaign(4, 2, MAX_TRIALS + 1, recycling=False, rng_seed=1)
 
 
 def test_campaign_mean_matches_planner_cost():
