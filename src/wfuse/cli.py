@@ -20,8 +20,7 @@ import traceback
 from pathlib import Path
 
 from . import __version__, planner
-from .homodyne import discrimination_report
-from .optics import ProbeConfig
+from .homodyne import ProbeConfig, discrimination_report
 from .oracle import (
     DenseState,
     MAX_QUBITS,
@@ -63,9 +62,9 @@ def cmd_fuse(args) -> int:
         _print_doc(tree.to_json_obj())
     else:
         print("class,sizes,cumProb")
-        for leaf in tree.leaves:
+        for kind, leaf in tree.leaves.items():
             sizes = "+".join(str(s) for s in leaf.sizes)
-            print(f"{leaf.kind.value},{sizes},{leaf.probability:.12g}")
+            print(f"{kind.value},{sizes},{leaf.probability:.12g}")
     return 0
 
 
@@ -76,18 +75,18 @@ def _verify_case(n: int, m: int, inject_fault: bool):
     dense = brute_force_pipeline(n, m)
     fids = {}
     dprob = 0.0
-    for leaf in tree.leaves:
+    for kind, leaf in tree.leaves.items():
         vec = expand_symbolic(leaf.state)
-        twin = dense[leaf.kind]
-        if leaf.kind is LeafKind.SUCCESS and inject_fault:
+        twin = dense[kind]
+        if kind is LeafKind.SUCCESS and inject_fault:
             corrupted = vec.amplitudes.copy()
             hot = int(abs(corrupted).argmax())
             corrupted[hot] = -corrupted[hot]
             vec = DenseState(vec.qubit_count, vec.support, corrupted)
         fid = fidelity(vec, twin.state)
-        if leaf.kind is LeafKind.SUCCESS:
+        if kind is LeafKind.SUCCESS:
             fid = min(fidelity(vec, make_w_state(n + m)), fid)
-        fids[leaf.kind] = fid
+        fids[kind] = fid
         dprob = max(dprob, abs(leaf.probability - twin.probability))
     ok = all(f >= 1.0 - FIDELITY_TOL for f in fids.values()) and dprob <= FIDELITY_TOL
     return ok, fids, dprob

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .optics import ProbeConfig, round_sig12
+from .optics import round_sig12
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -20,6 +20,20 @@ PROTOCOL_CLASSES = (0, 1, 2, 3)
 # the most closely spaced pair that one readout must actually separate,
 # which sets the operating-point error
 BINDING_CLASSES = (0, 2)
+
+
+@dataclass(frozen=True)
+class ProbeConfig:
+    """Coherent probe amplitude and Kerr phase angle."""
+
+    alpha: float
+    theta: float
+
+    def __post_init__(self) -> None:
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0 < self.theta < math.pi / 4:
+            raise ValueError("theta must lie in (0, pi/4)")
 
 
 def class_mean(probe: ProbeConfig, phase_class: int) -> float:

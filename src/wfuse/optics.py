@@ -10,7 +10,7 @@ path-conditioned Kerr media, beam splitters, half-wave plates, path
 couplers, the path swap) act term by term and are all pure functions
 returning a new canonicalized state.  This module holds only that algebra
 and its serialization; the interferometer mode matrices that justify the
-path swap live with the dense cross-checks in ``oracle``.
+path swap live with the tests, in ``tests/dense_helpers.py``.
 
 A term is one flat record whose first seven fields are its basis key.  That
 key both merges coinciding terms and orders them: the enums are string
@@ -133,9 +133,6 @@ class BranchState:
 
     def norm_squared(self) -> float:
         return sum(abs(t.exact.numerator) / t.exact.denominator for t in self.terms)
-
-    def norm_squared_exact(self) -> Fraction:
-        return sum((abs(t.exact) for t in self.terms), Fraction(0))
 
 
 def make_branch_state(
@@ -270,20 +267,6 @@ def normalize_global_phase(state: BranchState) -> BranchState:
         return state
     out = [t._replace(exact=-t.exact) for t in state.terms]
     return _rebuild(state, out)
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Coherent probe amplitude and Kerr phase angle."""
-
-    alpha: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
-        if not 0 < self.theta < math.pi / 4:
-            raise ValueError("theta must lie in (0, pi/4)")
 
 
 # ---------------------------------------------------------------------------

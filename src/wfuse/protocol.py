@@ -62,7 +62,6 @@ class LeafKind(Enum):
 
 @dataclass(frozen=True)
 class OutcomeLeaf:
-    kind: LeafKind
     sizes: tuple[int, ...]
     probability_exact: Fraction
     state: BranchState
@@ -84,13 +83,8 @@ class OutcomeTree:
     n: int
     m: int
     stages: tuple[StageRecord, ...]
-    leaves: tuple[OutcomeLeaf, ...]
-
-    def leaf(self, kind: LeafKind) -> OutcomeLeaf:
-        for lf in self.leaves:
-            if lf.kind is kind:
-                return lf
-        raise KeyError(kind)
+    # in the order success, pair, merged, like brute_force_pipeline's leaves
+    leaves: dict[LeafKind, OutcomeLeaf]
 
     def to_json_obj(self) -> dict:
         return {
@@ -112,11 +106,11 @@ class OutcomeTree:
             ],
             "leaves": [
                 {
-                    "class": lf.kind.value,
+                    "class": kind.value,
                     "sizes": list(lf.sizes),
                     "cumProb": round_sig12(lf.probability),
                 }
-                for lf in self.leaves
+                for kind, lf in self.leaves.items()
             ],
         }
 
@@ -280,13 +274,6 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
 
     stages = [StageRecord("polarization-gate-1", tuple(stage1_branches))]
 
-    pair_leaf = OutcomeLeaf(
-        LeafKind.RECYCLABLE_PAIR,
-        (n - 1, m - 1),
-        drop1.probability_exact,
-        drop1.post_state,
-    )
-
     stage2_branches = step2_spatial_gate(keep1.post_state)
     stages.append(StageRecord("spatial-gate", tuple(stage2_branches)))
 
@@ -308,15 +295,15 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
         success_prob += path_prob * keep3.probability_exact
         merged_prob += path_prob * drop3.probability_exact
 
-    success_leaf = OutcomeLeaf(LeafKind.SUCCESS, (n + m,), success_prob, success_state)
-    merged_leaf = OutcomeLeaf(
-        LeafKind.RECYCLABLE_MERGED,
-        project_recyclable(merged_state),
-        merged_prob,
-        merged_state,
-    )
-
-    leaves = (success_leaf, pair_leaf, merged_leaf)
-    if sum(lf.probability_exact for lf in leaves) != 1:
+    leaves = {
+        LeafKind.SUCCESS: OutcomeLeaf((n + m,), success_prob, success_state),
+        LeafKind.RECYCLABLE_PAIR: OutcomeLeaf(
+            (n - 1, m - 1), drop1.probability_exact, drop1.post_state
+        ),
+        LeafKind.RECYCLABLE_MERGED: OutcomeLeaf(
+            project_recyclable(merged_state), merged_prob, merged_state
+        ),
+    }
+    if sum(lf.probability_exact for lf in leaves.values()) != 1:
         raise RuntimeError("exact leaf probabilities do not sum to 1")
     return OutcomeTree(n, m, tuple(stages), leaves)

@@ -15,17 +15,12 @@ from functools import lru_cache
 import numpy as np
 
 from wfuse.cli import main as cli_main
-from wfuse.homodyne import p_error
-from wfuse.optics import ProbeConfig
+from wfuse.homodyne import ProbeConfig, p_error
 from wfuse.oracle import (
-    SWAP_MATRIX,
     brute_force_pipeline,
-    embed_register_state,
     expand_symbolic,
     fidelity,
-    mach_zehnder_mode_matrix,
     make_w_state,
-    two_photon_routing_matrix,
 )
 from wfuse.planner import (
     optimal_costs,
@@ -38,6 +33,13 @@ from wfuse.protocol import (
     run_fusion,
     step1_polarization_gate,
     step2_spatial_gate,
+)
+
+from dense_helpers import (
+    SWAP_MATRIX,
+    embed_register_state,
+    mach_zehnder_mode_matrix,
+    two_photon_routing_matrix,
 )
 
 ABS_TOL = 1e-12
@@ -60,7 +62,7 @@ def test_criterion_1_success_probability():
     start = time.perf_counter()
     for n, m in FULL_GRID:
         tree = run_fusion(n, m)
-        leaf = tree.leaf(LeafKind.SUCCESS)
+        leaf = tree.leaves[LeafKind.SUCCESS]
         want = Fraction(n + m, 2 * n * m)
         assert leaf.probability_exact == want
         assert abs(leaf.probability - float(want)) <= ABS_TOL
@@ -99,7 +101,7 @@ def test_criterion_2_stage_probabilities():
 def test_criterion_3_success_state_and_amplitude():
     for n, m in ORACLE_GRID:
         tree = run_fusion(n, m)
-        vec = expand_symbolic(tree.leaf(LeafKind.SUCCESS).state)
+        vec = expand_symbolic(tree.leaves[LeafKind.SUCCESS].state)
         fid = fidelity(vec, make_w_state(n + m))
         assert fid >= 1.0 - FID_TOL, f"(n={n}, m={m}) fidelity {fid}"
 
@@ -125,11 +127,11 @@ def test_criterion_3_success_state_and_amplitude():
 def test_criterion_4_recyclable_branches():
     for n, m in FULL_GRID:
         tree = run_fusion(n, m)
-        pair = tree.leaf(LeafKind.RECYCLABLE_PAIR)
-        merged = tree.leaf(LeafKind.RECYCLABLE_MERGED)
+        pair = tree.leaves[LeafKind.RECYCLABLE_PAIR]
+        merged = tree.leaves[LeafKind.RECYCLABLE_MERGED]
         assert pair.probability_exact == Fraction((n - 1) * (m - 1), n * m)
         assert merged.probability_exact == Fraction(n + m - 2, 2 * n * m)
-        total = sum(leaf.probability for leaf in tree.leaves)
+        total = sum(leaf.probability for leaf in tree.leaves.values())
         assert abs(total - 1.0) <= ABS_TOL
         assert pair.sizes == (n - 1, m - 1)
         assert merged.sizes == (n + m - 2,)
@@ -137,10 +139,10 @@ def test_criterion_4_recyclable_branches():
     for n, m in ORACLE_GRID:
         tree = run_fusion(n, m)
         dense = brute_force_pipeline(n, m)
-        pair_vec = expand_symbolic(tree.leaf(LeafKind.RECYCLABLE_PAIR).state)
+        pair_vec = expand_symbolic(tree.leaves[LeafKind.RECYCLABLE_PAIR].state)
         pair = dense[LeafKind.RECYCLABLE_PAIR].state
         assert fidelity(pair_vec, pair) >= 1.0 - FID_TOL
-        merged_vec = expand_symbolic(tree.leaf(LeafKind.RECYCLABLE_MERGED).state)
+        merged_vec = expand_symbolic(tree.leaves[LeafKind.RECYCLABLE_MERGED].state)
         merged = dense[LeafKind.RECYCLABLE_MERGED].state
         assert fidelity(merged_vec, merged) >= 1.0 - FID_TOL
         expect = embed_register_state(make_w_state(n + m - 2), n, m, True, True)

@@ -70,9 +70,10 @@ def test_every_float_is_derived_from_the_exact_track(capsys):
     for n, m in pairs:
         tree = run_fusion(n, m)
         branches = [br for st in tree.stages for br in st.branches]
-        for rec in (*tree.leaves, *branches):
+        for rec in (*tree.leaves.values(), *branches):
             assert rec.probability == float(rec.probability_exact)
-        states = [lf.state for lf in tree.leaves] + [br.post_state for br in branches]
+        leaves = tree.leaves.values()
+        states = [lf.state for lf in leaves] + [br.post_state for br in branches]
         for t in (t for state in states for t in state.terms):
             sign = 1 if t.exact > 0 else -1
             assert t.amplitude == sign * math.sqrt(float(abs(t.exact)))
@@ -82,7 +83,7 @@ def test_every_float_is_derived_from_the_exact_track(capsys):
         assert code == 0
         cum_probs = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
         assert cum_probs == [
-            f"{float(lf.probability_exact):.12g}" for lf in tree.leaves
+            f"{float(lf.probability_exact):.12g}" for lf in leaves
         ]
 
 

@@ -11,8 +11,7 @@ import math
 import pytest
 from scipy import integrate
 
-from wfuse.homodyne import class_mean, discrimination_report, p_error
-from wfuse.optics import ProbeConfig
+from wfuse.homodyne import ProbeConfig, class_mean, discrimination_report, p_error
 
 OPERATING_POINT = ProbeConfig(90000.0, 0.01)
 C0, C1, C2, C3 = 0, 1, 2, 3
@@ -38,6 +37,16 @@ def overlap_error(probe, class_a, class_b) -> float:
 # ---------------------------------------------------------------------------
 # means and the operating point
 # ---------------------------------------------------------------------------
+
+
+def test_probe_config_validation():
+    with pytest.raises(ValueError):
+        ProbeConfig(-1.0, 0.01)
+    with pytest.raises(ValueError):
+        ProbeConfig(float("inf"), 0.01)
+    with pytest.raises(ValueError):
+        ProbeConfig(100.0, 1.0)
+    ProbeConfig(90000.0, 0.01)
 
 
 def test_class_means_decrease_with_phase():

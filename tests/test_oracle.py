@@ -16,13 +16,14 @@ from wfuse.oracle import (
     DenseState,
     _flip,
     brute_force_pipeline,
-    embed_register_state,
     expand_symbolic,
     fidelity,
     make_w_state,
 )
 from wfuse.planner import p_pair, ps_qlf
 from wfuse.protocol import LeafKind, build_input_state, run_fusion
+
+from dense_helpers import embed_register_state, gather, kept_w_product, scatter
 
 FID_TOL = 1e-10
 
@@ -32,25 +33,6 @@ REFERENCE_GRID = [(n, m) for n in range(2, 15) for m in range(2, 15) if n + m <=
 
 def _idx(*indices: int) -> np.ndarray:
     return np.array(indices, dtype=np.int64)
-
-
-def _scatter(state: DenseState) -> np.ndarray:
-    """The state as a full 2**q vector."""
-    vec = np.zeros(2**state.qubit_count, dtype=state.amplitudes.dtype)
-    vec[state.support] = state.amplitudes
-    return vec
-
-
-def _gather(vec: np.ndarray) -> DenseState:
-    """The DenseState on the nonzero entries of a full 2**q vector."""
-    support = np.flatnonzero(vec).astype(np.int64)
-    return DenseState(int(vec.size).bit_length() - 1, support, vec[support])
-
-
-def _kept_w_product(n: int, m: int) -> DenseState:
-    """W_(n-1) on party A's kept modes and W_(m-1) on party B's."""
-    kept = np.kron(_scatter(make_w_state(m - 1)), _scatter(make_w_state(n - 1)))
-    return _gather(kept)
 
 
 def _reference_pipeline(n: int, m: int) -> dict:
@@ -82,7 +64,7 @@ def _reference_pipeline(n: int, m: int) -> dict:
         post = collect(((p1, p2, 0), vec) for (p1, p2, _), vec in hits)
         return prob, {key: vec * (1.0 / np.sqrt(prob)) for key, vec in post.items()}
 
-    product = np.kron(_scatter(make_w_state(m)), _scatter(make_w_state(n)))
+    product = np.kron(scatter(make_w_state(m)), scatter(make_w_state(n)))
     stage = kerr({unsplit: product}, [(1 - 2 * (2 - c), masks[c]) for c in range(3)])
     p_keep1, psi = measure(stage, (-1, 1))
     p_pair, pair_branch = measure(stage, (-3,))
@@ -123,14 +105,14 @@ def _reference_pipeline(n: int, m: int) -> dict:
 
 def test_w1_is_the_lone_vertical_photon():
     w1 = make_w_state(1)
-    assert np.allclose(_scatter(w1), [0.0, 1.0])
+    assert np.allclose(scatter(w1), [0.0, 1.0])
 
 
 def test_w2_and_w3_components():
-    w2 = _scatter(make_w_state(2))
+    w2 = scatter(make_w_state(2))
     assert abs(w2[0b01] - 1 / math.sqrt(2)) < FID_TOL
     assert abs(w2[0b10] - 1 / math.sqrt(2)) < FID_TOL
-    w3 = _scatter(make_w_state(3))
+    w3 = scatter(make_w_state(3))
     for idx in (0b001, 0b010, 0b100):
         assert abs(w3[idx] - 1 / math.sqrt(3)) < FID_TOL
     assert abs(np.sum(np.abs(w3) ** 2) - 1.0) < FID_TOL
@@ -138,7 +120,7 @@ def test_w2_and_w3_components():
 
 def test_w_state_is_permutation_symmetric():
     n = 5
-    w = _scatter(make_w_state(n))
+    w = scatter(make_w_state(n))
     idx = np.arange(2**n)
     # exchange qubits 1 and 3
     b1, b3 = (idx >> 1) & 1, (idx >> 3) & 1
@@ -196,14 +178,14 @@ def test_fidelity_of_orthogonal_states_is_zero():
     b = DenseState(1, _idx(0, 1), np.array([0.0, 1.0], dtype=complex))
     assert fidelity(a, b) < FID_TOL
     # disjoint supports share no index at all
-    assert fidelity(_gather(_scatter(a)), _gather(_scatter(b))) == 0.0
+    assert fidelity(gather(scatter(a)), gather(scatter(b))) == 0.0
 
 
 def test_fidelity_sign_flipped_w3():
     w3 = make_w_state(3)
-    flipped = _scatter(w3)
+    flipped = scatter(w3)
     flipped[0b100] = -flipped[0b100]
-    assert abs(fidelity(w3, _gather(flipped)) - 1 / 9) < FID_TOL
+    assert abs(fidelity(w3, gather(flipped)) - 1 / 9) < FID_TOL
 
 
 def test_fidelity_keeps_a_complex_input():
@@ -227,8 +209,8 @@ def test_fidelity_rejects_size_mismatch():
 def test_expand_input_product_equals_w_tensor_w():
     for n, m in [(2, 2), (3, 2), (2, 4), (3, 3)]:
         dense = expand_symbolic(build_input_state(n, m))
-        expected = np.kron(_scatter(make_w_state(m)), _scatter(make_w_state(n)))
-        assert np.allclose(_scatter(dense), expected, atol=1e-12)
+        expected = np.kron(scatter(make_w_state(m)), scatter(make_w_state(n)))
+        assert np.allclose(scatter(dense), expected, atol=1e-12)
 
 
 def test_expand_rejects_empty_state():
@@ -256,7 +238,7 @@ def test_expand_rejects_split_paths():
 
 def test_embed_register_state_places_photons():
     kept = make_w_state(2)
-    dense = _scatter(embed_register_state(kept, 2, 2, True, True))
+    dense = scatter(embed_register_state(kept, 2, 2, True, True))
     # photons vertical on qubits 1 and 3, register on qubits 0 and 2
     assert abs(dense[0b1011] - 1 / math.sqrt(2)) < FID_TOL
     assert abs(dense[0b1110] - 1 / math.sqrt(2)) < FID_TOL
@@ -289,22 +271,22 @@ def test_brute_force_probabilities_sum_to_one(n, m):
 @pytest.mark.parametrize("n,m", GRID)
 def test_success_leaf_expands_to_w(n, m):
     tree = run_fusion(n, m)
-    dense = expand_symbolic(tree.leaf(LeafKind.SUCCESS).state)
+    dense = expand_symbolic(tree.leaves[LeafKind.SUCCESS].state)
     assert abs(fidelity(dense, make_w_state(n + m)) - 1.0) < FID_TOL
 
 
 @pytest.mark.parametrize("n,m", GRID)
 def test_pair_leaf_expands_to_w_product(n, m):
     tree = run_fusion(n, m)
-    dense = expand_symbolic(tree.leaf(LeafKind.RECYCLABLE_PAIR).state)
-    expected = embed_register_state(_kept_w_product(n, m), n, m, False, False)
+    dense = expand_symbolic(tree.leaves[LeafKind.RECYCLABLE_PAIR].state)
+    expected = embed_register_state(kept_w_product(n, m), n, m, False, False)
     assert abs(fidelity(dense, expected) - 1.0) < FID_TOL
 
 
 @pytest.mark.parametrize("n,m", GRID)
 def test_merged_leaf_expands_to_smaller_w(n, m):
     tree = run_fusion(n, m)
-    dense = expand_symbolic(tree.leaf(LeafKind.RECYCLABLE_MERGED).state)
+    dense = expand_symbolic(tree.leaves[LeafKind.RECYCLABLE_MERGED].state)
     expected = embed_register_state(make_w_state(n + m - 2), n, m, True, True)
     assert abs(fidelity(dense, expected) - 1.0) < FID_TOL
 
@@ -313,9 +295,9 @@ def test_merged_leaf_expands_to_smaller_w(n, m):
 def test_brute_force_matches_symbolic_probabilities(n, m):
     tree = run_fusion(n, m)
     res = brute_force_pipeline(n, m)
-    assert sorted(lf.kind.value for lf in tree.leaves) == sorted(k.value for k in res)
-    for leaf in tree.leaves:
-        assert abs(leaf.probability - res[leaf.kind].probability) < FID_TOL
+    assert list(tree.leaves) == list(res)
+    for kind, leaf in tree.leaves.items():
+        assert abs(leaf.probability - res[kind].probability) < FID_TOL
 
 
 @pytest.mark.parametrize("n,m", GRID)
@@ -326,7 +308,7 @@ def test_brute_force_states_match_constructions(n, m):
     expected_merged = embed_register_state(make_w_state(n + m - 2), n, m, True, True)
     merged = res[LeafKind.RECYCLABLE_MERGED].state
     assert abs(fidelity(merged, expected_merged) - 1.0) < FID_TOL
-    expected_pair = embed_register_state(_kept_w_product(n, m), n, m, False, False)
+    expected_pair = embed_register_state(kept_w_product(n, m), n, m, False, False)
     pair = res[LeafKind.RECYCLABLE_PAIR].state
     assert abs(fidelity(pair, expected_pair) - 1.0) < FID_TOL
 
@@ -341,7 +323,7 @@ def test_oracle_vectors_are_real(n, m):
         make_w_state(n),
         embed_register_state(kept, n, m, True, True),
         *(leaf.state for leaf in res.values()),
-        *(expand_symbolic(leaf.state) for leaf in tree.leaves),
+        *(expand_symbolic(leaf.state) for leaf in tree.leaves.values()),
     ]
     for state in states:
         assert state.amplitudes.dtype == np.float64
@@ -391,7 +373,7 @@ def test_brute_force_matches_full_vector_reference(n, m):
     res = brute_force_pipeline(n, m)
     for kind, (probability, vec) in _reference_pipeline(n, m).items():
         assert abs(res[kind].probability - probability) <= 1e-15
-        assert np.max(np.abs(_scatter(res[kind].state) - vec)) <= 1e-12
+        assert np.max(np.abs(scatter(res[kind].state) - vec)) <= 1e-12
 
 
 def test_flip_permutes_a_closed_support():

@@ -123,9 +123,9 @@ def test_rates_match_pipeline_leaves():
     for n in range(2, 9):
         for m in range(2, 9):
             tree = run_fusion(n, m)
-            success = tree.leaf(LeafKind.SUCCESS)
-            pair = tree.leaf(LeafKind.RECYCLABLE_PAIR)
-            merged = tree.leaf(LeafKind.RECYCLABLE_MERGED)
+            success = tree.leaves[LeafKind.SUCCESS]
+            pair = tree.leaves[LeafKind.RECYCLABLE_PAIR]
+            merged = tree.leaves[LeafKind.RECYCLABLE_MERGED]
             assert success.probability_exact == ps_qlf(n, m)
             assert pair.probability_exact == p_pair(n, m)
             assert success.sizes == (n + m,)
