@@ -23,7 +23,6 @@ import io
 import os
 import random
 import shlex
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -160,15 +159,15 @@ def record(argv: list[str], workdir: Path) -> str:
     )
 
 
-def read_corpus(path: Path = CORPUS) -> dict[str, str]:
+def read_corpus() -> dict[str, str]:
     """Corpus lines keyed by their shell-quoted argv."""
-    lines = path.read_text().splitlines() if path.exists() else []
+    lines = CORPUS.read_text().splitlines() if CORPUS.exists() else []
     return {
         line.rsplit("\t", 1)[1]: line for line in lines if not line.startswith("#")
     }
 
 
-def main_record() -> int:
+def main_record() -> None:
     for name, value in ENV_SET.items():
         os.environ[name] = value
     for name in ENV_UNSET:
@@ -184,8 +183,7 @@ def main_record() -> int:
             print(f"changed: {key}")
     for key in old.keys() - new.keys():
         print(f"dropped: {key}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main_record())
+    main_record()
