@@ -3,15 +3,17 @@
 Subcommands: fuse (enumerate one fusion's outcome tree), verify (dense
 cross-check sweep), plan (cost tables), error (readout operating point),
 campaign (Monte-Carlo seed consumption); ``--version`` prints the package
-version.  Exit codes: 0 on success, 1 when verification fails, 2 on usage
-errors, 3 on an internal error (an uncaught exception, reported as one
-``error: internal:`` line on stderr), 141 when the reader closes stdout early
-(as a shell reports a tool killed by SIGPIPE; nothing goes to stderr).
+version.  Exit codes: 0 on success, 1 when verification fails, 2 on a
+usage error (argparse's own or a command's check, reported as one ``error:``
+line on stderr), 3 on an internal error (an uncaught exception, reported as
+one ``error: internal:`` line on stderr), 141 when the reader closes stdout
+early (as a shell reports a tool killed by SIGPIPE; nothing goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -45,6 +47,17 @@ FIDELITY_TOL = 1e-10
 EXIT_BROKEN_PIPE = 141
 
 
+class UsageError(Exception):
+    """Bad arguments: ``main`` reports one ``error:`` line and returns 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print its usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
@@ -55,8 +68,7 @@ def _print_doc(obj) -> None:
 
 def cmd_fuse(args) -> int:
     if args.n < 2 or args.m < 2:
-        _err("n and m must be >= 2")
-        return 2
+        raise UsageError("n and m must be >= 2")
     tree = run_fusion(args.n, args.m)
     if args.format == "json":
         _print_doc(tree.to_json_obj())
@@ -76,7 +88,7 @@ def _verify_case(n: int, m: int, inject_fault: bool):
     fids = {}
     dprob = 0.0
     for kind, leaf in tree.leaves.items():
-        vec = expand_symbolic(leaf.state)
+        vec = expand_symbolic(leaf.state, n, m)
         twin = dense[kind]
         if kind is LeafKind.SUCCESS and inject_fault:
             corrupted = vec.amplitudes.copy()
@@ -94,8 +106,7 @@ def _verify_case(n: int, m: int, inject_fault: bool):
 
 def cmd_verify(args) -> int:
     if not 4 <= args.max <= MAX_QUBITS:
-        _err(f"--max must be in 4..{MAX_QUBITS} total photons")
-        return 2
+        raise UsageError(f"--max must be in 4..{MAX_QUBITS} total photons")
     cases = [
         (n, m)
         for n in range(2, args.max - 1)
@@ -123,21 +134,18 @@ def cmd_verify(args) -> int:
 def cmd_plan(args) -> int:
     seeds = args.seed if args.seed else [2]
     if any(s < 2 for s in seeds):
-        _err("seed sizes must be >= 2")
-        return 2
+        raise UsageError("seed sizes must be >= 2")
     if not 0 < args.seed_cost < math.inf:
-        _err("seed cost must be positive and finite")
-        return 2
+        raise UsageError("seed cost must be positive and finite")
     if not 2 <= args.max <= MAX_PLAN_SIZE:
-        _err(f"--max must be in 2..{MAX_PLAN_SIZE}")
-        return 2
+        raise UsageError(f"--max must be in 2..{MAX_PLAN_SIZE}")
     out = None if args.out is None else Path(args.out)
     if out is not None and not out.name:
-        _err(f"--out must name a file, got {args.out!r}")
-        return 2
+        raise UsageError(f"--out must name a file, got {args.out!r}")
     if out is not None and out.with_suffix(".dat") == out:
-        _err(f"--out {args.out} would be overwritten by its own .dat plot data")
-        return 2
+        raise UsageError(
+            f"--out {args.out} would be overwritten by its own .dat plot data"
+        )
     # looked up on the module, so a patched planner.optimal_costs (as in the
     # benchmark's tracer) sees these calls too
     tables = [planner.optimal_costs(s, args.seed_cost, args.max) for s in seeds]
@@ -151,8 +159,7 @@ def cmd_plan(args) -> int:
     try:
         csv_text = cost_tables_csv(tables)
     except OverflowError:
-        _err("costs overflow a float; lower --seed-cost")
-        return 2
+        raise UsageError("costs overflow a float; lower --seed-cost")
     if out is not None:
         # written before stdout, so a failed write leaves no partial output
         try:
@@ -163,8 +170,7 @@ def cmd_plan(args) -> int:
                 out.unlink()  # the .csv is kept only next to its .dat
                 raise
         except OSError as exc:
-            _err(f"cannot write {exc.filename}: {exc.strerror}")
-            return 2
+            raise UsageError(f"cannot write {exc.filename}: {exc.strerror}")
     sys.stdout.write(csv_text)
     return 0
 
@@ -173,49 +179,40 @@ def cmd_error(args) -> int:
     try:
         report = discrimination_report(ProbeConfig(args.alpha, args.theta))
     except ValueError as exc:
-        _err(str(exc))
-        return 2
-    _print_doc(report.to_json_obj())
+        raise UsageError(str(exc))
+    _print_doc(report)
     return 0
 
 
 def cmd_campaign(args) -> int:
     if not 2 <= args.target <= MAX_PLAN_SIZE:
-        _err(f"--target must be in 2..{MAX_PLAN_SIZE}")
-        return 2
+        raise UsageError(f"--target must be in 2..{MAX_PLAN_SIZE}")
     if args.seed_size < 2:
-        _err("--seed-size must be >= 2")
-        return 2
-    if args.trials < 1:
-        _err("--trials must be >= 1")
-        return 2
-    if args.trials > MAX_TRIALS:
-        _err(f"--trials must be in 1..{MAX_TRIALS}")
-        return 2
+        raise UsageError("--seed-size must be >= 2")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise UsageError(f"--trials must be in 1..{MAX_TRIALS}")
     rng_seed, source = args.rng, "--rng"
     if rng_seed is None:
         raw, source = os.environ.get(SEED_ENV_VAR, "0"), f"${SEED_ENV_VAR}"
         try:
             rng_seed = int(raw)
         except ValueError:
-            _err(f"{source} must be an integer, got {raw!r}")
-            return 2
+            raise UsageError(f"{source} must be an integer, got {raw!r}")
     if rng_seed < 0:
-        _err(f"{source} must be >= 0, got {rng_seed}")
-        return 2
+        raise UsageError(f"{source} must be >= 0, got {rng_seed}")
     try:
         result = run_campaign(
             args.target, args.seed_size, args.trials, args.recycling, rng_seed
         )
     except ValueError as exc:
-        _err(str(exc))
-        return 2
+        raise UsageError(str(exc))
     _print_doc(result.to_json_obj())
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wfuse",
         description="simulate and plan loss-free fusion of polarization W states",
     )
@@ -266,17 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # --help and --version; a command's own SystemExit passes through
+            return int(exc.code) if exc.code is not None else 0
         code = args.func(args)
         # flushed here, so a closed pipe is caught below and not left to the
         # interpreter's exit flush
         sys.stdout.flush()
         return code
+    except UsageError as exc:
+        _err(str(exc))
+        return 2
     except BrokenPipeError:
         # the reader stopped early, which is no fault of this program; what
         # is still buffered goes to devnull, so the exit flush stays quiet

@@ -49,38 +49,21 @@ def p_error(probe: ProbeConfig, class_a: int, class_b: int) -> float:
     return 0.5 * math.erfc(separation / (2.0 * _SQRT2))
 
 
-@dataclass(frozen=True)
-class DiscriminationReport:
-    """Operating-point summary for one pair of phase classes."""
-
-    alpha: float
-    theta: float
-    class_means: dict
-    threshold: float
-    error_probability: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "alpha": round_sig12(self.alpha),
-            "theta": round_sig12(self.theta),
-            "means": {
-                str(pc): round_sig12(mu)
-                for pc, mu in self.class_means.items()
-            },
-            "threshold": round_sig12(self.threshold),
-            "pError": round_sig12(self.error_probability),
-        }
-
-
-def discrimination_report(probe: ProbeConfig) -> DiscriminationReport:
-    """Report the binding discrimination task of the pipeline."""
+def discrimination_report(probe: ProbeConfig) -> dict:
+    """Report the binding discrimination task of the pipeline as a JSON
+    object, every float rounded to 12 significant digits."""
     class_a, class_b = BINDING_CLASSES
-    means = {pc: class_mean(probe, pc) for pc in PROTOCOL_CLASSES}
     mu_a = class_mean(probe, class_a)
     mu_b = class_mean(probe, class_b)
     threshold = 0.5 * (mu_a + mu_b)
     if not min(mu_a, mu_b) < threshold < max(mu_a, mu_b):
         raise ValueError("threshold must separate the class means")
-    return DiscriminationReport(
-        probe.alpha, probe.theta, means, threshold, p_error(probe, class_a, class_b)
-    )
+    return {
+        "alpha": round_sig12(probe.alpha),
+        "theta": round_sig12(probe.theta),
+        "means": {
+            str(pc): round_sig12(class_mean(probe, pc)) for pc in PROTOCOL_CLASSES
+        },
+        "threshold": round_sig12(threshold),
+        "pError": round_sig12(p_error(probe, class_a, class_b)),
+    }

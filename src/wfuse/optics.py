@@ -3,14 +3,14 @@
 A state is a finite superposition over a small structured basis: the kind of
 each party's kept register, the polarization and path of the two traveling
 photons, and an integer probe phase recorded in half-angle units.  The kept
-registers pass through every element unchanged, so their photon counts are
-not stored per term: party A's register always holds n-1 photons and party
-B's m-1, read from the state.  The optical elements (polarization- and
-path-conditioned Kerr media, beam splitters, half-wave plates, path
-couplers, the path swap) act term by term and are all pure functions
+registers pass through every element unchanged, so the algebra stores no
+photon count: party A's register holds n-1 photons and party B's m-1, and
+the serializer takes n and m from its caller.  The optical elements
+(polarization- and path-conditioned Kerr media, beam splitters, half-wave
+plates, path couplers, the path swap) act term by term as pure functions
 returning a new canonicalized state.  This module holds only that algebra
-and its serialization; the interferometer mode matrices that justify the
-path swap live with the tests, in ``tests/dense_helpers.py``.
+and its serialization; the mode matrices that justify the path swap live
+with the tests, in ``tests/dense_helpers.py``.
 
 A term is one flat record whose first seven fields are its basis key.  That
 key both merges coinciding terms and orders them: the enums are string
@@ -94,7 +94,7 @@ class FusionTerm(NamedTuple):
     """One basis component of a pipeline state.
 
     The first seven fields are the basis key (see ``key``); the register
-    fields hold only the kind, since the sizes come from the state.
+    fields hold only the kind, since no element reads or changes a size.
     ``probe_phase`` counts the probe's accumulated phase in half-angle
     units, so a physical shift of one full Kerr angle is recorded as 2.
     ``exact`` is the amplitude's signed square e: the amplitude is
@@ -125,19 +125,15 @@ class FusionTerm(NamedTuple):
 
 @dataclass(frozen=True)
 class BranchState:
-    """Canonicalized superposition of fusion terms for fixed party sizes."""
+    """Canonicalized superposition of fusion terms."""
 
     terms: tuple[FusionTerm, ...]
-    n_party_a: int
-    m_party_b: int
 
     def norm_squared(self) -> float:
         return sum(abs(t.exact.numerator) / t.exact.denominator for t in self.terms)
 
 
-def make_branch_state(
-    terms: Iterable[FusionTerm], n_party_a: int, m_party_b: int
-) -> BranchState:
+def make_branch_state(terms: Iterable[FusionTerm]) -> BranchState:
     """Merge duplicate keys, check every key, drop exactly vanished terms,
     sort by key, check the norm."""
     merged: dict[tuple, FusionTerm] = {}
@@ -156,7 +152,7 @@ def make_branch_state(
             raise ValueError("probe phase outside the protocol range")
     # keys are unique now, so comparing whole terms never reaches an amplitude
     kept = sorted(t for t in merged.values() if t.exact != 0)
-    state = BranchState(tuple(kept), n_party_a, m_party_b)
+    state = BranchState(tuple(kept))
     if state.norm_squared() > 1.0 + NORM_EPS:
         raise ValueError("state norm exceeds 1")
     return state
@@ -171,10 +167,6 @@ def _photon_fields(photon_idx: int) -> tuple[str, str]:
     raise ValueError(f"photon index must be 1 or 2, got {photon_idx!r}")
 
 
-def _rebuild(state: BranchState, terms: Iterable[FusionTerm]) -> BranchState:
-    return make_branch_state(terms, state.n_party_a, state.m_party_b)
-
-
 def _shift_probe_where(
     state: BranchState, field: str, value: Enum, shift_half_theta: int
 ) -> BranchState:
@@ -185,7 +177,7 @@ def _shift_probe_where(
         else t
         for t in state.terms
     ]
-    return _rebuild(state, out)
+    return make_branch_state(out)
 
 
 def cross_kerr_on_polarization(
@@ -209,7 +201,7 @@ def probe_linear_shift(state: BranchState, shift_half_theta: int) -> BranchState
     out = [
         t._replace(probe_phase=t.probe_phase + shift_half_theta) for t in state.terms
     ]
-    return _rebuild(state, out)
+    return make_branch_state(out)
 
 
 def apply_bs(state: BranchState, photon_idx: int) -> BranchState:
@@ -225,7 +217,7 @@ def apply_bs(state: BranchState, photon_idx: int) -> BranchState:
         half = term._replace(exact=term.exact / 2)
         out.append(half._replace(**{path_field: first}))
         out.append(half._replace(**{path_field: second}))
-    return _rebuild(state, out)
+    return make_branch_state(out)
 
 
 def apply_hwp45(state: BranchState, photon_idx: int, path: PathLabel) -> BranchState:
@@ -236,7 +228,7 @@ def apply_hwp45(state: BranchState, photon_idx: int, path: PathLabel) -> BranchS
         if getattr(term, path_field) is path:
             term = term._replace(**{pol_field: getattr(term, pol_field).flipped()})
         out.append(term)
-    return _rebuild(state, out)
+    return make_branch_state(out)
 
 
 def apply_path_coupler(state: BranchState, photon_idx: int) -> BranchState:
@@ -247,7 +239,7 @@ def apply_path_coupler(state: BranchState, photon_idx: int) -> BranchState:
         if getattr(term, path_field) is not PathLabel.UNSPLIT:
             term = term._replace(**{path_field: PathLabel.UNSPLIT})
         out.append(term)
-    return _rebuild(state, out)
+    return make_branch_state(out)
 
 
 def apply_swap(state: BranchState) -> BranchState:
@@ -258,7 +250,7 @@ def apply_swap(state: BranchState) -> BranchState:
         if term.path2 in exchange:
             term = term._replace(path2=exchange[term.path2])
         out.append(term)
-    return _rebuild(state, out)
+    return make_branch_state(out)
 
 
 def normalize_global_phase(state: BranchState) -> BranchState:
@@ -266,7 +258,7 @@ def normalize_global_phase(state: BranchState) -> BranchState:
     if not state.terms or state.terms[0].exact > 0:
         return state
     out = [t._replace(exact=-t.exact) for t in state.terms]
-    return _rebuild(state, out)
+    return make_branch_state(out)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +271,9 @@ def round_sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def state_to_json_obj(state: BranchState) -> list:
-    count_a, count_b = state.n_party_a - 1, state.m_party_b - 1
+def state_to_json_obj(state: BranchState, n: int, m: int) -> list:
+    """Terms of a state of the fusion of W_n and W_m, as JSON objects."""
+    count_a, count_b = n - 1, m - 1
     return [
         {
             "re": round_sig12(t.amplitude),

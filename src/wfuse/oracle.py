@@ -97,13 +97,12 @@ def _register_patterns(kind: RegisterKind, count: int):
             yield 1 << j, amp
 
 
-def expand_symbolic(state: BranchState) -> DenseState:
-    """Expand a symbolic branch state into the dense representation.
+def expand_symbolic(state: BranchState, n: int, m: int) -> DenseState:
+    """Expand a symbolic state of the fusion of W_n and W_m into n+m qubits.
 
     Requires unsplit photons and a reset probe; raises if the result does
     not normalize, which catches empty and corrupted inputs.
     """
-    n, m = state.n_party_a, state.m_party_b
     q = n + m
     if q > MAX_QUBITS:
         raise ValueError(f"{q} qubits exceed the dense limit {MAX_QUBITS}")

@@ -97,7 +97,7 @@ class OutcomeTree:
                         {
                             "phaseClass": br.phase_class,
                             "prob": round_sig12(br.probability),
-                            "state": state_to_json_obj(br.post_state),
+                            "state": state_to_json_obj(br.post_state, self.n, self.m),
                         }
                         for br in st.branches
                     ],
@@ -120,7 +120,8 @@ def build_input_state(n: int, m: int) -> BranchState:
 
     The four components follow from peeling the last photon off each W
     state; a single-photon W register is the lone vertical photon.  The
-    kept registers hold n-1 and m-1 photons, which the state records.
+    kept registers hold n-1 and m-1 photons, which only these weights
+    reflect: the state itself records no size.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -147,7 +148,7 @@ def build_input_state(n: int, m: int) -> BranchState:
         term(all_h, w, Polarization.V, Polarization.H, m - 1),
         term(w, w, Polarization.H, Polarization.H, (n - 1) * (m - 1)),
     ]
-    return make_branch_state(terms, n, m)
+    return make_branch_state(terms)
 
 
 def homodyne_measure(state: BranchState) -> list[MeasurementBranch]:
@@ -169,25 +170,23 @@ def homodyne_measure(state: BranchState) -> list[MeasurementBranch]:
         prob = sum((abs(t.exact) for t in members), Fraction(0))
         total += prob
         post_terms = [t._replace(probe_phase=0, exact=t.exact / prob) for t in members]
-        post = normalize_global_phase(
-            make_branch_state(post_terms, state.n_party_a, state.m_party_b)
-        )
+        post = normalize_global_phase(make_branch_state(post_terms))
         branches.append(MeasurementBranch(abs_k, prob, post))
     if total != 1:
         raise ValueError("homodyne requires a normalized state")
     return branches
 
 
-def step1_polarization_gate(state: BranchState) -> list[MeasurementBranch]:
-    """First probe gate: each horizontal photon retards the probe by a full
-    angle, then a fixed half-angle advance is applied.
+def polarization_gate(state: BranchState, pol: Polarization) -> list[MeasurementBranch]:
+    """Probe gate: each photon of polarization pol retards the probe by a
+    full angle, then a fixed half-angle advance is applied.
 
-    Branches come back ordered by phase class: the keep branch (|k|=1,
-    both-vertical/one-horizontal components) and the drop branch (|k|=3,
-    both-horizontal component).
+    The first gate is conditioned on H, the second on V.  Branches come back
+    ordered by phase class: the keep branch (|k|=1, at most one photon of
+    polarization pol) and the drop branch (|k|=3, both photons pol).
     """
-    s = cross_kerr_on_polarization(state, 1, Polarization.H, -2)
-    s = cross_kerr_on_polarization(s, 2, Polarization.H, -2)
+    s = cross_kerr_on_polarization(state, 1, pol, -2)
+    s = cross_kerr_on_polarization(s, 2, pol, -2)
     s = probe_linear_shift(s, +1)
     return homodyne_measure(s)
 
@@ -213,14 +212,6 @@ def step2_spatial_gate(state: BranchState) -> list[MeasurementBranch]:
     return [replace(zero, post_state=post), replace(two, post_state=post)]
 
 
-def step3_polarization_gate(state: BranchState) -> list[MeasurementBranch]:
-    """Second probe gate, conditioned on vertical photons this time."""
-    s = cross_kerr_on_polarization(state, 1, Polarization.V, -2)
-    s = cross_kerr_on_polarization(s, 2, Polarization.V, -2)
-    s = probe_linear_shift(s, +1)
-    return homodyne_measure(s)
-
-
 def _branch_by_class(branches: list[MeasurementBranch], abs_k: int) -> MeasurementBranch:
     for br in branches:
         if br.phase_class == abs_k:
@@ -228,15 +219,15 @@ def _branch_by_class(branches: list[MeasurementBranch], abs_k: int) -> Measureme
     raise ValueError(f"no branch with phase class {abs_k}")
 
 
-def project_recyclable(state: BranchState) -> tuple[int, ...]:
-    """Check the drop branch of the second probe gate and return its sizes.
+def project_recyclable(state: BranchState, n: int, m: int) -> tuple[int, ...]:
+    """Check the drop branch of the second probe gate of the fusion of W_n
+    and W_m, and return its sizes.
 
     Projecting both photons onto vertical leaves the kept registers in a
     merged W state of n+m-2 photons; the check asserts equal per-position
     amplitudes across the two register patterns, whose W registers hold n-1
     and m-1 photons.
     """
-    n, m = state.n_party_a, state.m_party_b
     if not state.terms:
         raise ValueError("empty state")
     seen = set()
@@ -268,7 +259,7 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
     are cumulative from the root, exact, and checked to sum to one.
     """
     state0 = build_input_state(n, m)
-    stage1_branches = step1_polarization_gate(state0)
+    stage1_branches = polarization_gate(state0, Polarization.H)
     keep1 = _branch_by_class(stage1_branches, 1)
     drop1 = _branch_by_class(stage1_branches, 3)
 
@@ -277,7 +268,9 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
     stage2_branches = step2_spatial_gate(keep1.post_state)
     stages.append(StageRecord("spatial-gate", tuple(stage2_branches)))
 
-    stage3_branches = tuple(step3_polarization_gate(stage2_branches[0].post_state))
+    stage3_branches = tuple(
+        polarization_gate(stage2_branches[0].post_state, Polarization.V)
+    )
     keep3 = _branch_by_class(stage3_branches, 1)
     drop3 = _branch_by_class(stage3_branches, 3)
     success_state = keep3.post_state
@@ -301,7 +294,7 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
             (n - 1, m - 1), drop1.probability_exact, drop1.post_state
         ),
         LeafKind.RECYCLABLE_MERGED: OutcomeLeaf(
-            project_recyclable(merged_state), merged_prob, merged_state
+            project_recyclable(merged_state, n, m), merged_prob, merged_state
         ),
     }
     if sum(lf.probability_exact for lf in leaves.values()) != 1:

@@ -4,9 +4,9 @@ Each corpus line is one invocation of ``wfuse``, tab-separated: its exit
 code, then the first 16 hex digits of the sha256 of its stdout, of its
 stderr and of the files it wrote ("-" when it wrote none), then its argv,
 shell-quoted.  Every invocation runs in-process through ``main(argv)``, in
-an empty working directory, with ``$WFUSE_SEED`` unset and an
-80-column terminal for argparse's usage text.  ``test_cli`` replays the
-corpus line by line.
+an empty working directory, with ``$WFUSE_SEED`` unset and an 80-column
+terminal: only ``--help`` output depends on the width, since every usage
+error is one ``error:`` line.  ``test_cli`` replays the corpus line by line.
 
 Run from the repository root after a deliberate change to the contract:
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from wfuse.cli import main as cli_main
 from wfuse.homodyne import ProbeConfig, p_error
+from wfuse.optics import Polarization
 from wfuse.oracle import (
     brute_force_pipeline,
     expand_symbolic,
@@ -30,8 +31,8 @@ from wfuse.planner import (
 from wfuse.protocol import (
     LeafKind,
     build_input_state,
+    polarization_gate,
     run_fusion,
-    step1_polarization_gate,
     step2_spatial_gate,
 )
 
@@ -101,7 +102,7 @@ def test_criterion_2_stage_probabilities():
 def test_criterion_3_success_state_and_amplitude():
     for n, m in ORACLE_GRID:
         tree = run_fusion(n, m)
-        vec = expand_symbolic(tree.leaves[LeafKind.SUCCESS].state)
+        vec = expand_symbolic(tree.leaves[LeafKind.SUCCESS].state, n, m)
         fid = fidelity(vec, make_w_state(n + m))
         assert fid >= 1.0 - FID_TOL, f"(n={n}, m={m}) fidelity {fid}"
 
@@ -139,10 +140,11 @@ def test_criterion_4_recyclable_branches():
     for n, m in ORACLE_GRID:
         tree = run_fusion(n, m)
         dense = brute_force_pipeline(n, m)
-        pair_vec = expand_symbolic(tree.leaves[LeafKind.RECYCLABLE_PAIR].state)
+        pair_vec = expand_symbolic(tree.leaves[LeafKind.RECYCLABLE_PAIR].state, n, m)
         pair = dense[LeafKind.RECYCLABLE_PAIR].state
         assert fidelity(pair_vec, pair) >= 1.0 - FID_TOL
-        merged_vec = expand_symbolic(tree.leaves[LeafKind.RECYCLABLE_MERGED].state)
+        merged_leaf = tree.leaves[LeafKind.RECYCLABLE_MERGED]
+        merged_vec = expand_symbolic(merged_leaf.state, n, m)
         merged = dense[LeafKind.RECYCLABLE_MERGED].state
         assert fidelity(merged_vec, merged) >= 1.0 - FID_TOL
         expect = embed_register_state(make_w_state(n + m - 2), n, m, True, True)
@@ -164,7 +166,7 @@ def test_criterion_5_swap_gate():
     for n, m in [(2, 2), (3, 2), (4, 3)]:
         keep1 = next(
             b
-            for b in step1_polarization_gate(build_input_state(n, m))
+            for b in polarization_gate(build_input_state(n, m), Polarization.H)
             if b.phase_class == 1
         )
         zero, nonzero = step2_spatial_gate(keep1.post_state)

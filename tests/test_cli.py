@@ -338,6 +338,13 @@ def test_campaign_trials_over_cap_names_the_option(capsys):
     assert (code, out, err) == (2, "", "error: --trials must be in 1..10000000\n")
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_campaign_trials_under_one_names_the_same_range(capsys, trials):
+    argv = ["campaign", "--target", "4", "--trials", trials]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", "error: --trials must be in 1..10000000\n")
+
+
 def test_bad_seed_environment_only_affects_campaign(capsys, monkeypatch):
     monkeypatch.setenv("WFUSE_SEED", "abc")
     code, _, err = run_cli(capsys, ["fuse", "-n", "2", "-m", "2"])
@@ -418,6 +425,26 @@ def test_base_exceptions_pass_through_main(monkeypatch):
         main(["fuse", "-n", "3", "-m", "2"])
 
 
+def test_command_system_exit_passes_through_main(monkeypatch):
+    # main returns the code of argparse's own exits, --help and --version,
+    # but leaves a command's SystemExit alone
+    def leave(n, m):
+        raise SystemExit(7)
+
+    monkeypatch.setattr("wfuse.cli.run_fusion", leave)
+    with pytest.raises(SystemExit) as exc:
+        main(["fuse", "-n", "3", "-m", "2"])
+    assert exc.value.code == 7
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_argparse_error_is_one_line_at_any_width(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    code, out, err = run_cli(capsys, ["campaign", "--target", "x"])
+    assert (code, out) == (2, "")
+    assert err == "error: argument --target: invalid int value: 'x'\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["fuse", "-n", "3", "-m", "2", "--format", "csv"], ["verify", "--max", "6"]],
@@ -467,7 +494,27 @@ def test_repeated_invocations_are_byte_identical(capsys, argv):
 
 def test_unknown_command_exits_with_usage_error(capsys):
     code, out, err = run_cli(capsys, ["transmogrify"])
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: argument command: invalid choice: 'transmogrify' "
+        "(choose from 'fuse', 'verify', 'plan', 'error', 'campaign')\n"
+    )
+
+
+def test_parser_is_built_at_the_first_main_call():
+    code = (
+        "import wfuse.cli as cli; "
+        "print(cli.build_parser.cache_info().currsize); "
+        "cli.main(['--version']); cli.main(['--version']); "
+        "print(cli.build_parser.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wfuse.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    version = f"wfuse {wfuse.__version__}"
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["0", version, version, "1"]
 
 
 def test_version_prints_package_version(capsys):

@@ -111,8 +111,7 @@ def test_pair_separations_rank_the_protocol_tasks():
 
 
 def test_report_shape_and_threshold():
-    report = discrimination_report(OPERATING_POINT)
-    doc = report.to_json_obj()
+    doc = discrimination_report(OPERATING_POINT)
     assert set(doc) == {"alpha", "theta", "means", "threshold", "pError"}
     assert set(doc["means"]) == {"0", "1", "2", "3"}
     mu0, mu2 = doc["means"]["0"], doc["means"]["2"]

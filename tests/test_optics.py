@@ -65,7 +65,7 @@ def make_term(pol1, pol2, exact, k=0, path1=UNSPLIT, path2=UNSPLIT, reg_b=ALL_H)
 
 
 def single_term_state(pol1, pol2, exact=ONE, k=0, path1=UNSPLIT, path2=UNSPLIT):
-    return make_branch_state([make_term(pol1, pol2, exact, k, path1, path2)], 2, 2)
+    return make_branch_state([make_term(pol1, pol2, exact, k, path1, path2)])
 
 
 def terms_by_pols(state):
@@ -125,7 +125,7 @@ def test_probe_linear_shift_uniform_and_empty():
     state = single_term_state(H, V, k=-2)
     out = probe_linear_shift(state, 1)
     assert out.terms[0].probe_phase == -1
-    empty = make_branch_state([], 2, 2)
+    empty = make_branch_state([])
     assert probe_linear_shift(empty, 1).terms == ()
 
 
@@ -203,8 +203,6 @@ def test_coupler_merges_amplitudes_without_rescale():
             make_term(H, V, Fraction(9, 100), path1=PathLabel.S11),
             make_term(H, V, Fraction(16, 100), path1=PathLabel.S12),
         ],
-        2,
-        2,
     )
     out = apply_path_coupler(state, 1)
     assert len(out.terms) == 1
@@ -220,8 +218,6 @@ def test_coupler_drops_destructive_terms():
             make_term(H, V, half, path1=PathLabel.S11),
             make_term(H, V, -half, path1=PathLabel.S12),
         ],
-        2,
-        2,
     )
     out = apply_path_coupler(state, 1)
     assert out.terms == ()
@@ -234,8 +230,6 @@ def test_bs_then_coupler_preserves_polarization_content():
             t._replace(exact=t.exact * Fraction(1, 2))
             for t in base.terms
         ],
-        2,
-        2,
     )
     back = apply_path_coupler(apply_bs(halved, 1), 1)
     # same polarization structure, uniform sqrt(2) scale from the eraser
@@ -288,11 +282,7 @@ def test_bs_and_phase_matrices_are_unitary():
 
 def test_normalize_global_phase_flips_negative_lead():
     state = build_input_state(2, 2)
-    negated = make_branch_state(
-        [t._replace(exact=-t.exact) for t in state.terms],
-        2,
-        2,
-    )
+    negated = make_branch_state([t._replace(exact=-t.exact) for t in state.terms])
     assert negated.terms[0].amplitude < 0
     fixed = normalize_global_phase(negated)
     assert fixed == state
@@ -300,7 +290,7 @@ def test_normalize_global_phase_flips_negative_lead():
 
 def test_merge_canonicalization_no_duplicate_keys():
     term = make_term(H, V, Fraction(1, 4))
-    state = make_branch_state([term, term], 2, 2)
+    state = make_branch_state([term, term])
     assert len(state.terms) == 1
     assert abs(state.terms[0].amplitude - 1.0) < ABS_TOL
     assert state.terms[0].exact == ONE
@@ -313,7 +303,7 @@ def test_merge_outside_exact_form_raises():
         make_term(H, V, Fraction(1, 12)),
     ]
     with pytest.raises(ValueError):
-        make_branch_state(terms, 2, 2)
+        make_branch_state(terms)
 
 
 def test_norm_cap_enforced():
@@ -353,13 +343,14 @@ def test_round_sig12():
 
 def test_state_serialization_shape_and_determinism():
     state = build_input_state(3, 2)
-    doc = state_to_json_obj(state)
+    doc = state_to_json_obj(state, 3, 2)
     assert len(doc) == 4
     for entry in doc:
         assert set(entry) == {"re", "im", "regA", "regB", "p1", "p2", "k"}
         assert set(entry["regA"]) == {"kind", "count"}
         assert set(entry["p1"]) == {"pol", "path"}
-    assert doc == state_to_json_obj(build_input_state(3, 2))
+        assert (entry["regA"]["count"], entry["regB"]["count"]) == (2, 1)
+    assert doc == state_to_json_obj(build_input_state(3, 2), 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +398,7 @@ def random_states(draw, merging=False):
         )
         for (pol1, pol2, k), w in zip(keys, weights)
     ]
-    return make_branch_state(terms, 2, 2)
+    return make_branch_state(terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -456,8 +447,6 @@ def test_canonical_states_have_unique_keys(state):
             make_term(V, V, -Fraction(1, 4)),
             make_term(H, H, Fraction(1, 4)),
         ],
-        2,
-        2,
     )
 )
 def test_exact_track_follows_float_through_merges(state):

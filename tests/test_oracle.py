@@ -208,7 +208,7 @@ def test_fidelity_rejects_size_mismatch():
 
 def test_expand_input_product_equals_w_tensor_w():
     for n, m in [(2, 2), (3, 2), (2, 4), (3, 3)]:
-        dense = expand_symbolic(build_input_state(n, m))
+        dense = expand_symbolic(build_input_state(n, m), n, m)
         expected = np.kron(scatter(make_w_state(m)), scatter(make_w_state(n)))
         assert np.allclose(scatter(dense), expected, atol=1e-12)
 
@@ -217,7 +217,7 @@ def test_expand_rejects_empty_state():
     from wfuse.optics import make_branch_state
 
     with pytest.raises(ValueError):
-        expand_symbolic(make_branch_state([], 2, 2))
+        expand_symbolic(make_branch_state([]), 2, 2)
 
 
 def test_expand_rejects_pending_probe_phase():
@@ -225,7 +225,7 @@ def test_expand_rejects_pending_probe_phase():
 
     state = probe_linear_shift(build_input_state(2, 2), 1)
     with pytest.raises(ValueError):
-        expand_symbolic(state)
+        expand_symbolic(state, 2, 2)
 
 
 def test_expand_rejects_split_paths():
@@ -233,7 +233,7 @@ def test_expand_rejects_split_paths():
 
     state = apply_bs(build_input_state(2, 2), 1)
     with pytest.raises(ValueError):
-        expand_symbolic(state)
+        expand_symbolic(state, 2, 2)
 
 
 def test_embed_register_state_places_photons():
@@ -271,14 +271,14 @@ def test_brute_force_probabilities_sum_to_one(n, m):
 @pytest.mark.parametrize("n,m", GRID)
 def test_success_leaf_expands_to_w(n, m):
     tree = run_fusion(n, m)
-    dense = expand_symbolic(tree.leaves[LeafKind.SUCCESS].state)
+    dense = expand_symbolic(tree.leaves[LeafKind.SUCCESS].state, n, m)
     assert abs(fidelity(dense, make_w_state(n + m)) - 1.0) < FID_TOL
 
 
 @pytest.mark.parametrize("n,m", GRID)
 def test_pair_leaf_expands_to_w_product(n, m):
     tree = run_fusion(n, m)
-    dense = expand_symbolic(tree.leaves[LeafKind.RECYCLABLE_PAIR].state)
+    dense = expand_symbolic(tree.leaves[LeafKind.RECYCLABLE_PAIR].state, n, m)
     expected = embed_register_state(kept_w_product(n, m), n, m, False, False)
     assert abs(fidelity(dense, expected) - 1.0) < FID_TOL
 
@@ -286,7 +286,7 @@ def test_pair_leaf_expands_to_w_product(n, m):
 @pytest.mark.parametrize("n,m", GRID)
 def test_merged_leaf_expands_to_smaller_w(n, m):
     tree = run_fusion(n, m)
-    dense = expand_symbolic(tree.leaves[LeafKind.RECYCLABLE_MERGED].state)
+    dense = expand_symbolic(tree.leaves[LeafKind.RECYCLABLE_MERGED].state, n, m)
     expected = embed_register_state(make_w_state(n + m - 2), n, m, True, True)
     assert abs(fidelity(dense, expected) - 1.0) < FID_TOL
 
@@ -323,7 +323,7 @@ def test_oracle_vectors_are_real(n, m):
         make_w_state(n),
         embed_register_state(kept, n, m, True, True),
         *(leaf.state for leaf in res.values()),
-        *(expand_symbolic(leaf.state) for leaf in tree.leaves.values()),
+        *(expand_symbolic(leaf.state, n, m) for leaf in tree.leaves.values()),
     ]
     for state in states:
         assert state.amplitudes.dtype == np.float64

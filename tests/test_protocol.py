@@ -21,11 +21,10 @@ from wfuse.protocol import (
     LeafKind,
     build_input_state,
     homodyne_measure,
+    polarization_gate,
     project_recyclable,
     run_fusion,
-    step1_polarization_gate,
     step2_spatial_gate,
-    step3_polarization_gate,
 )
 
 ABS_TOL = 1e-12
@@ -63,9 +62,13 @@ def test_input_3_2_amplitudes():
     assert abs(amps[(H, H)] - math.sqrt(2) / s6) < ABS_TOL
 
 
-def test_input_register_sizes_track_parties():
-    state = build_input_state(4, 3)
-    assert (state.n_party_a - 1, state.m_party_b - 1) == (3, 2)
+def test_json_register_counts_track_parties():
+    # the state records no size; the tree's n and m set every count
+    doc = run_fusion(3, 5).to_json_obj()
+    for stage in doc["stages"]:
+        for branch in stage["branches"]:
+            for term in branch["state"]:
+                assert (term["regA"]["count"], term["regB"]["count"]) == (2, 4)
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 9) for m in range(2, 9)])
@@ -89,7 +92,7 @@ def test_input_rejects_small_parties():
 
 def test_homodyne_groups_first_gate_output():
     state = build_input_state(2, 2)
-    branches = step1_polarization_gate(state)
+    branches = polarization_gate(state, H)
     assert [b.phase_class for b in branches] == [1, 3]
     assert abs(branches[0].probability - 0.75) < ABS_TOL
     assert branches[0].probability_exact == Fraction(3, 4)
@@ -98,7 +101,7 @@ def test_homodyne_groups_first_gate_output():
 
 def test_homodyne_resets_probe_and_renormalizes():
     state = build_input_state(2, 2)
-    for branch in step1_polarization_gate(state):
+    for branch in polarization_gate(state, H):
         assert abs(branch.post_state.norm_squared() - 1.0) < ABS_TOL
         assert sum(abs(t.exact) for t in branch.post_state.terms) == 1
         for t in branch.post_state.terms:
@@ -117,12 +120,12 @@ def test_homodyne_rejects_empty_state():
     from wfuse.optics import make_branch_state
 
     with pytest.raises(ValueError):
-        homodyne_measure(make_branch_state([], 2, 2))
+        homodyne_measure(make_branch_state([]))
 
 
 def test_branch_probabilities_sum_to_one():
     for n, m in [(2, 2), (3, 4), (5, 2)]:
-        branches = step1_polarization_gate(build_input_state(n, m))
+        branches = polarization_gate(build_input_state(n, m), H)
         assert abs(sum(b.probability for b in branches) - 1.0) < ABS_TOL
         assert sum(b.probability_exact for b in branches) == 1
 
@@ -133,7 +136,7 @@ def test_branch_probabilities_sum_to_one():
 
 
 def test_step1_keep_amplitudes_2_2():
-    branches = step1_polarization_gate(build_input_state(2, 2))
+    branches = polarization_gate(build_input_state(2, 2), H)
     keep = branches[0].post_state
     amps = amp_by_pols(keep)
     expected = 1 / math.sqrt(3)
@@ -143,18 +146,18 @@ def test_step1_keep_amplitudes_2_2():
 
 
 def test_step1_keep_probability_3_3():
-    branches = step1_polarization_gate(build_input_state(3, 3))
+    branches = polarization_gate(build_input_state(3, 3), H)
     assert branches[0].probability_exact == Fraction(5, 9)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 5), (4, 3), (6, 6)])
 def test_step1_keep_probability_formula(n, m):
-    branches = step1_polarization_gate(build_input_state(n, m))
+    branches = polarization_gate(build_input_state(n, m), H)
     assert branches[0].probability_exact == Fraction(n + m - 1, n * m)
 
 
 def test_step1_drop_branch_is_shrunken_pair():
-    branches = step1_polarization_gate(build_input_state(2, 2))
+    branches = polarization_gate(build_input_state(2, 2), H)
     drop = branches[1].post_state
     assert len(drop.terms) == 1
     t = drop.terms[0]
@@ -171,7 +174,7 @@ def test_step1_drop_branch_is_shrunken_pair():
 
 def test_step2_intermediate_zero_branch_structure():
     # stop after the path-conditioned kicks and the measurement
-    keep = step1_polarization_gate(build_input_state(2, 2))[0].post_state
+    keep = polarization_gate(build_input_state(2, 2), H)[0].post_state
     s = apply_bs(keep, 1)
     s = apply_bs(s, 2)
     s = cross_kerr_on_path(s, 1, PathLabel.S11, +2)
@@ -187,7 +190,7 @@ def test_step2_intermediate_zero_branch_structure():
 
 def test_step2_branches_agree_exactly():
     for n, m in [(2, 2), (3, 2), (4, 5)]:
-        keep = step1_polarization_gate(build_input_state(n, m))[0].post_state
+        keep = polarization_gate(build_input_state(n, m), H)[0].post_state
         zero, nonzero = step2_spatial_gate(keep)
         assert zero.probability_exact == Fraction(1, 2)
         assert nonzero.probability_exact == Fraction(1, 2)
@@ -201,7 +204,7 @@ def test_step2_rejects_branches_the_swap_does_not_align(monkeypatch):
 
 
 def test_step2_merged_state_2_2():
-    keep = step1_polarization_gate(build_input_state(2, 2))[0].post_state
+    keep = polarization_gate(build_input_state(2, 2), H)[0].post_state
     merged = step2_spatial_gate(keep)[0].post_state
     expected = 1 / math.sqrt(6)
     assert len(merged.terms) == 6
@@ -221,26 +224,26 @@ def test_step2_merged_state_2_2():
 
 
 def test_step3_success_probability_2_2():
-    keep = step1_polarization_gate(build_input_state(2, 2))[0].post_state
+    keep = polarization_gate(build_input_state(2, 2), H)[0].post_state
     merged = step2_spatial_gate(keep)[0].post_state
-    branches = step3_polarization_gate(merged)
+    branches = polarization_gate(merged, V)
     assert branches[0].probability_exact == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 4), (5, 5), (2, 7)])
 def test_step3_success_probability_formula(n, m):
-    keep = step1_polarization_gate(build_input_state(n, m))[0].post_state
+    keep = polarization_gate(build_input_state(n, m), H)[0].post_state
     merged = step2_spatial_gate(keep)[0].post_state
-    branches = step3_polarization_gate(merged)
+    branches = polarization_gate(merged, V)
     assert branches[0].probability_exact == Fraction(n + m, 2 * (n + m - 1))
 
 
 def test_step3_success_state_is_w_form():
     # per-position amplitudes across all single-V patterns must be equal
     for n, m in [(2, 2), (3, 2), (4, 4)]:
-        keep = step1_polarization_gate(build_input_state(n, m))[0].post_state
+        keep = polarization_gate(build_input_state(n, m), H)[0].post_state
         merged = step2_spatial_gate(keep)[0].post_state
-        success = step3_polarization_gate(merged)[0].post_state
+        success = polarization_gate(merged, V)[0].post_state
         per_position = []
         for t in success.terms:
             pols = (t.pol1, t.pol2)
@@ -248,11 +251,7 @@ def test_step3_success_state_is_w_form():
                 per_position.append(t.amplitude)
             else:
                 assert pols == (H, H)
-                w_count = (
-                    success.n_party_a - 1
-                    if t.reg_a is RegisterKind.W_STATE
-                    else success.m_party_b - 1
-                )
+                w_count = n - 1 if t.reg_a is RegisterKind.W_STATE else m - 1
                 per_position.append(t.amplitude / math.sqrt(w_count))
         target = 1 / math.sqrt(n + m)
         for amp in per_position:
@@ -262,9 +261,9 @@ def test_step3_success_state_is_w_form():
 def test_unnormalized_success_amplitude_identity():
     # cumulative amplitude inside one spatial branch, before renormalizing
     for n, m in [(2, 2), (3, 5), (6, 2)]:
-        p1 = step1_polarization_gate(build_input_state(n, m))[0]
+        p1 = polarization_gate(build_input_state(n, m), H)[0]
         br2 = step2_spatial_gate(p1.post_state)[0]
-        p3 = step3_polarization_gate(br2.post_state)[0]
+        p3 = polarization_gate(br2.post_state, V)[0]
         branch_amp = math.sqrt(p1.probability * br2.probability * p3.probability)
         expected = math.sqrt(n + m) / (2 * math.sqrt(n * m))
         assert abs(branch_amp - expected) < ABS_TOL
@@ -273,28 +272,28 @@ def test_unnormalized_success_amplitude_identity():
 
 
 def test_project_recyclable_classifies_merged_branch():
-    keep = step1_polarization_gate(build_input_state(3, 4))[0].post_state
+    keep = polarization_gate(build_input_state(3, 4), H)[0].post_state
     merged = step2_spatial_gate(keep)[0].post_state
-    drop = step3_polarization_gate(merged)[1].post_state
-    assert project_recyclable(drop) == (5,)
+    drop = polarization_gate(merged, V)[1].post_state
+    assert project_recyclable(drop, 3, 4) == (5,)
 
 
 def test_project_recyclable_rejects_wrong_states():
     state = build_input_state(2, 2)
     with pytest.raises(ValueError):
-        project_recyclable(state)
+        project_recyclable(state, 2, 2)
 
 
 def test_project_recyclable_rejects_unequal_per_position_amplitudes():
-    keep = step1_polarization_gate(build_input_state(3, 4))[0].post_state
+    keep = polarization_gate(build_input_state(3, 4), H)[0].post_state
     merged = step2_spatial_gate(keep)[0].post_state
-    drop = step3_polarization_gate(merged)[1].post_state
+    drop = polarization_gate(merged, V)[1].post_state
     first, second = drop.terms
     flipped = second._replace(exact=-second.exact)
     shrunk = second._replace(exact=second.exact * Fraction(1, 4))
     for bad in (flipped, shrunk):
         with pytest.raises(ValueError, match="unequal"):
-            project_recyclable(BranchState((first, bad), 3, 4))
+            project_recyclable(BranchState((first, bad)), 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +349,24 @@ def test_run_fusion_records_both_spatial_continuations():
     for ba, bb in zip(s3a.branches, s3b.branches):
         assert ba.probability_exact == bb.probability_exact
         assert ba.post_state == bb.post_state
+
+
+def _stage_keys(tree):
+    """Term keys of every stage branch and every leaf of a tree."""
+    branches = [
+        [t.key for t in br.post_state.terms] for st in tree.stages for br in st.branches
+    ]
+    leaves = [[t.key for t in lf.state.terms] for lf in tree.leaves.values()]
+    return branches, leaves
+
+
+def test_stage_keys_do_not_depend_on_party_sizes():
+    # no gate reads or changes a register's size, so n and m reach the
+    # states only through the input weights
+    reference = _stage_keys(run_fusion(2, 2))
+    for n in range(2, 13):
+        for m in range(2, 13):
+            assert _stage_keys(run_fusion(n, m)) == reference, (n, m)
 
 
 def test_tree_serialization_shape_and_determinism():
