@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # checked in main, so that argparse reports an unknown option first
+    sub = parser.add_subparsers(dest="command")
 
     p_fuse = sub.add_parser("fuse", help="enumerate one fusion's outcome tree")
     p_fuse.add_argument("-n", type=int, required=True, help="size of the first W state")
@@ -269,6 +270,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             # --help and --version; a command's own SystemExit passes through
             return int(exc.code) if exc.code is not None else 0
+        if args.command is None:
+            raise UsageError("the following arguments are required: command")
         code = args.func(args)
         # flushed here, so a closed pipe is caught below and not left to the
         # interpreter's exit flush

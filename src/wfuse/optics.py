@@ -22,6 +22,14 @@ standing for sign(e)*sqrt(|e|); its real float is derived from it on
 demand.  The exact form is what lets the pipeline report
 branch probabilities as exact fractions; a sum of amplitudes that leaves the
 form raises rather than degrading to a rounded float.
+
+No element reads or changes a term's register kinds, so the terms fall into
+four register patterns, and the party sizes weight the patterns by 1, n-1,
+m-1 and (n-1)(m-1).  These weights are linearly independent polynomials in
+n and m, so an element keeps the norm at every party size exactly when it
+keeps the sum of |e| within each pattern (``pattern_sums``).  The pipeline
+checks that after every element; the states themselves need not be
+normalized.
 """
 
 from __future__ import annotations
@@ -32,8 +40,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-# tolerance for norm bookkeeping
-NORM_EPS = 1e-12
 # the pipeline never drives the probe phase outside this range
 MAX_ABS_PROBE_PHASE = 4
 
@@ -129,13 +135,12 @@ class BranchState:
 
     terms: tuple[FusionTerm, ...]
 
-    def norm_squared(self) -> float:
-        return sum(abs(t.exact.numerator) / t.exact.denominator for t in self.terms)
-
 
 def make_branch_state(terms: Iterable[FusionTerm]) -> BranchState:
     """Merge duplicate keys, check every key, drop exactly vanished terms,
-    sort by key, check the norm."""
+    sort by key.  The norm is checked by the caller, per register pattern
+    (``pattern_sums``), since a state of the pipeline need not be
+    normalized."""
     merged: dict[tuple, FusionTerm] = {}
     for term in terms:
         key = term.key
@@ -152,10 +157,23 @@ def make_branch_state(terms: Iterable[FusionTerm]) -> BranchState:
             raise ValueError("probe phase outside the protocol range")
     # keys are unique now, so comparing whole terms never reaches an amplitude
     kept = sorted(t for t in merged.values() if t.exact != 0)
-    state = BranchState(tuple(kept))
-    if state.norm_squared() > 1.0 + NORM_EPS:
-        raise ValueError("state norm exceeds 1")
-    return state
+    return BranchState(tuple(kept))
+
+
+def pattern_sums(
+    terms: Iterable[FusionTerm],
+) -> dict[tuple[RegisterKind, RegisterKind], Fraction]:
+    """Sum of |e| over the terms of each register pattern (reg_a, reg_b)."""
+    groups: dict[tuple[RegisterKind, RegisterKind], list[Fraction]] = {}
+    for t in terms:
+        groups.setdefault((t.reg_a, t.reg_b), []).append(t.exact)
+    sums = {}
+    for regs, values in groups.items():
+        # over one common denominator: a Fraction sum pays a gcd per term
+        den = math.lcm(*(e.denominator for e in values))
+        num = sum(abs(e.numerator) * (den // e.denominator) for e in values)
+        sums[regs] = Fraction(num, den)
+    return sums
 
 
 def _photon_fields(photon_idx: int) -> tuple[str, str]:

@@ -8,6 +8,16 @@ every probability is stored as an exact fraction and its float is derived
 from it; leaves are classified as the fused W state, a recyclable pair of
 shrunken W states, or a recyclable merged W state.
 
+No gate reads n or m.  They enter only as the weights 1, n-1, m-1 and
+(n-1)(m-1) of the input's four register patterns, and every step is
+homogeneous in those weights (see ``optics``).  So the gate sequence runs
+once per process, with no sizes, on an unnormalized input whose signed
+square is 1 in each pattern; the run is cached at the first
+``run_fusion`` call, never at import.  ``run_fusion(n, m)`` then weighs the
+cached states and branch sums with integer weights.  Every element of the
+gate sequence is checked to keep each pattern's norm exactly, which is norm
+conservation at every (n, m) at once.
+
 Homodyne readout is idealized here: branches are grouped by the absolute
 probe phase, the measurement-induced relative phase inside a group is taken
 to be removed by the phase corrector, and the probe resets to zero.  The
@@ -16,9 +26,12 @@ noisy readout model lives in a separate module.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .optics import (
     BranchState,
@@ -34,6 +47,7 @@ from .optics import (
     cross_kerr_on_polarization,
     make_branch_state,
     normalize_global_phase,
+    pattern_sums,
     probe_linear_shift,
     round_sig12,
     state_to_json_obj,
@@ -115,65 +129,127 @@ class OutcomeTree:
         }
 
 
+_ALL_H, _W = RegisterKind.ALL_HORIZONTAL, RegisterKind.W_STATE
+# the register patterns (reg_a, reg_b), in the order of _pattern_weights
+_PATTERNS = ((_ALL_H, _ALL_H), (_W, _ALL_H), (_ALL_H, _W), (_W, _W))
+
+
+def _pattern_weights(n: int, m: int) -> tuple[int, int, int, int]:
+    """Weights of the register patterns in the fusion of W_n and W_m: the
+    number of basis states a term of each pattern stands for."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    return (1, n - 1, m - 1, (n - 1) * (m - 1))
+
+
+def _weigh(weights: tuple[int, ...], sums: tuple[int, ...]) -> int:
+    return sum(w * s for w, s in zip(weights, sums))
+
+
+class _SizeFreeState(NamedTuple):
+    """A state of the size-free gate run, over one common denominator.
+
+    Each term is (basis key, pattern index, c), its signed square being c
+    over the denominator; ``sums`` is the sum of |c| per pattern.
+    """
+
+    terms: tuple[tuple[tuple, int, int], ...]
+    sums: tuple[int, ...]
+
+    @classmethod
+    def of(cls, state: BranchState) -> "_SizeFreeState":
+        terms = state.terms
+        den = math.lcm(*(t.exact.denominator for t in terms))
+        scaled = tuple(
+            (
+                t.key,
+                _PATTERNS.index((t.reg_a, t.reg_b)),
+                t.exact.numerator * (den // t.exact.denominator),
+            )
+            for t in terms
+        )
+        sums = [0] * len(_PATTERNS)
+        for _, i, c in scaled:
+            sums[i] += abs(c)
+        return cls(scaled, tuple(sums))
+
+    def at(self, weights: tuple[int, ...]) -> BranchState:
+        """The normalized state at these pattern weights: each signed square
+        is w*c over the sum of w*|c|.  The keys, their order and the signs
+        are those of the size-free state."""
+        z = _weigh(weights, self.sums)
+        # from a list: tuple() of a generator over-allocates, then shrinks,
+        # and the shrunk tuples pile up in the interpreter's free lists
+        terms = [
+            FusionTerm(*key, Fraction(weights[i] * c, z)) for key, i, c in self.terms
+        ]
+        return BranchState(tuple(terms))
+
+
+def _size_free_input() -> BranchState:
+    """W_n (x) W_m in kept-register form with the sizes factored out: signed
+    square 1 in each register pattern.  A party's traveling photon is
+    horizontal when its kept register is a W state, else vertical."""
+    pol = {_W: Polarization.H, _ALL_H: Polarization.V}
+    unsplit = PathLabel.UNSPLIT
+    return make_branch_state(
+        FusionTerm(a, b, pol[a], unsplit, pol[b], unsplit, 0, Fraction(1))
+        for a, b in _PATTERNS
+    )
+
+
 def build_input_state(n: int, m: int) -> BranchState:
     """Tensor product of W_n and W_m, written in kept-register form.
 
     The four components follow from peeling the last photon off each W
     state; a single-photon W register is the lone vertical photon.  The
-    kept registers hold n-1 and m-1 photons, which only these weights
+    kept registers hold n-1 and m-1 photons, which only the pattern weights
     reflect: the state itself records no size.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    nm = n * m
+    weights = _pattern_weights(n, m)
+    return _SizeFreeState.of(_size_free_input()).at(weights)
 
-    def term(reg_a, reg_b, pol1, pol2, weight):
-        return FusionTerm(
-            reg_a=reg_a,
-            reg_b=reg_b,
-            pol1=pol1,
-            path1=PathLabel.UNSPLIT,
-            pol2=pol2,
-            path2=PathLabel.UNSPLIT,
-            probe_phase=0,
-            exact=Fraction(weight, nm),
-        )
 
-    all_h, w = RegisterKind.ALL_HORIZONTAL, RegisterKind.W_STATE
-    terms = [
-        term(all_h, all_h, Polarization.V, Polarization.V, 1),
-        term(w, all_h, Polarization.H, Polarization.V, n - 1),
-        term(all_h, w, Polarization.V, Polarization.H, m - 1),
-        term(w, w, Polarization.H, Polarization.H, (n - 1) * (m - 1)),
-    ]
-    return make_branch_state(terms)
+def _apply(state: BranchState, *steps) -> BranchState:
+    """Apply the (element, *args) steps in turn, checking that each keeps
+    the norm of every register pattern exactly."""
+    sums = pattern_sums(state.terms)
+    for element, *args in steps:
+        state = element(state, *args)
+        if pattern_sums(state.terms) != sums:
+            raise ValueError(f"{element.__name__} changed a register pattern's norm")
+    return state
 
 
 def homodyne_measure(state: BranchState) -> list[MeasurementBranch]:
     """Group terms by absolute probe phase and collapse each group.
 
-    Post-states are renormalized, the probe resets to zero, and the ideal
-    corrector makes the signed phases within a group coherent, so the
-    amplitudes carry over unchanged up to the renormalization.
+    A branch's probability is its share of the state's sum of |e|, so the
+    state need not be normalized.  Post-states are renormalized, the probe
+    resets to zero, and the ideal corrector makes the signed phases within a
+    group coherent, so the amplitudes carry over unchanged up to the
+    renormalization.  Terms that meet at the reset must keep each register
+    pattern's norm: every branch keeps its share of each pattern's sum, so
+    the branches partition it.
     """
     if not state.terms:
         raise ValueError("cannot measure an empty state")
     groups: dict[int, list[FusionTerm]] = {}
     for t in state.terms:
         groups.setdefault(abs(t.probe_phase), []).append(t)
+    total = sum(abs(t.exact) for t in state.terms)
     branches = []
-    total = Fraction(0)
     for abs_k in sorted(groups):
         members = groups[abs_k]
-        prob = sum((abs(t.exact) for t in members), Fraction(0))
-        total += prob
+        share = pattern_sums(members)
+        prob = sum(share.values())
         post_terms = [t._replace(probe_phase=0, exact=t.exact / prob) for t in members]
         post = normalize_global_phase(make_branch_state(post_terms))
-        branches.append(MeasurementBranch(abs_k, prob, post))
-    if total != 1:
-        raise ValueError("homodyne requires a normalized state")
+        if pattern_sums(post.terms) != {regs: s / prob for regs, s in share.items()}:
+            raise ValueError("terms met at the probe reset and changed a norm")
+        branches.append(MeasurementBranch(abs_k, prob / total, post))
     return branches
 
 
@@ -185,9 +261,12 @@ def polarization_gate(state: BranchState, pol: Polarization) -> list[Measurement
     ordered by phase class: the keep branch (|k|=1, at most one photon of
     polarization pol) and the drop branch (|k|=3, both photons pol).
     """
-    s = cross_kerr_on_polarization(state, 1, pol, -2)
-    s = cross_kerr_on_polarization(s, 2, pol, -2)
-    s = probe_linear_shift(s, +1)
+    s = _apply(
+        state,
+        (cross_kerr_on_polarization, 1, pol, -2),
+        (cross_kerr_on_polarization, 2, pol, -2),
+        (probe_linear_shift, +1),
+    )
     return homodyne_measure(s)
 
 
@@ -198,17 +277,23 @@ def step2_spatial_gate(state: BranchState) -> list[MeasurementBranch]:
     branch exactly, so the gate is completed once: half-wave plates and path
     couplers act on that common state, which both branches then carry.
     """
-    s = apply_bs(state, 1)
-    s = apply_bs(s, 2)
-    s = cross_kerr_on_path(s, 1, PathLabel.S11, +2)
-    s = cross_kerr_on_path(s, 2, PathLabel.S21, -2)
+    s = _apply(
+        state,
+        (apply_bs, 1),
+        (apply_bs, 2),
+        (cross_kerr_on_path, 1, PathLabel.S11, +2),
+        (cross_kerr_on_path, 2, PathLabel.S21, -2),
+    )
     zero, two = homodyne_measure(s)
-    if apply_swap(two.post_state) != zero.post_state:
+    if _apply(two.post_state, (apply_swap,)) != zero.post_state:
         raise RuntimeError("spatial branches diverged after the swap")
-    post = apply_hwp45(zero.post_state, 1, PathLabel.S11)
-    post = apply_hwp45(post, 2, PathLabel.S22)
-    post = apply_path_coupler(post, 1)
-    post = apply_path_coupler(post, 2)
+    post = _apply(
+        zero.post_state,
+        (apply_hwp45, 1, PathLabel.S11),
+        (apply_hwp45, 2, PathLabel.S22),
+        (apply_path_coupler, 1),
+        (apply_path_coupler, 2),
+    )
     return [replace(zero, post_state=post), replace(two, post_state=post)]
 
 
@@ -251,28 +336,96 @@ def project_recyclable(state: BranchState, n: int, m: int) -> tuple[int, ...]:
     return (n + m - 2,)
 
 
-def run_fusion(n: int, m: int) -> OutcomeTree:
-    """Run the full pipeline and collect stages and classified leaves.
+class _Branch(NamedTuple):
+    """A measurement branch of the size-free run: its phase class, its
+    share of each register pattern's norm over its measurement's common
+    denominator, and the index of its post-state in ``_GateRun.states``."""
 
-    Both spatial branches carry one completed state, so the second probe
-    gate runs once and is recorded under each of them.  Leaf probabilities
-    are cumulative from the root, exact, and checked to sum to one.
+    phase_class: int
+    sums: tuple[int, ...]
+    state: int
+
+
+class _GateRun(NamedTuple):
+    states: tuple[_SizeFreeState, ...]
+    # the branches of polarization gate 1, the spatial gate, polarization gate 2
+    gates: tuple[tuple[_Branch, ...], ...]
+
+
+@functools.cache
+def _gate_run() -> _GateRun:
+    """The gate sequence, run once per process with no party sizes.
+
+    A branch's share of a pattern's norm is its probability times its
+    post-state's pattern sum: ``homodyne_measure`` checks that the share
+    survives the readout, and the elements of the spatial gate that act
+    after it keep every pattern sum.
     """
-    state0 = build_input_state(n, m)
-    stage1_branches = polarization_gate(state0, Polarization.H)
+    gate1 = polarization_gate(_size_free_input(), Polarization.H)
+    spatial = step2_spatial_gate(_branch_by_class(gate1, 1).post_state)
+    gate2 = polarization_gate(spatial[0].post_state, Polarization.V)
+    index: dict[BranchState, int] = {}
+    gates = []
+    for branches in (gate1, spatial, gate2):
+        shares = []
+        for br in branches:
+            sums = pattern_sums(br.post_state.terms)
+            shares.append([br.probability_exact * sums.get(r, 0) for r in _PATTERNS])
+        den = math.lcm(*(f.denominator for row in shares for f in row))
+        gates.append(
+            tuple(
+                _Branch(
+                    br.phase_class,
+                    tuple(int(f * den) for f in row),
+                    index.setdefault(br.post_state, len(index)),
+                )
+                for br, row in zip(branches, shares)
+            )
+        )
+    states = tuple(_SizeFreeState.of(s) for s in index)
+    return _GateRun(states, tuple(gates))
+
+
+def _weigh_branches(
+    branches: tuple[_Branch, ...], weights: tuple[int, ...], states: list[BranchState]
+) -> tuple[MeasurementBranch, ...]:
+    """One measurement of the size-free run at these pattern weights: each
+    branch probability is a ratio of two weighted sums."""
+    xs = [_weigh(weights, br.sums) for br in branches]
+    total = sum(xs)
+    # from a list, as in _SizeFreeState.at
+    return tuple(
+        [
+            MeasurementBranch(br.phase_class, Fraction(x, total), states[br.state])
+            for br, x in zip(branches, xs)
+        ]
+    )
+
+
+def run_fusion(n: int, m: int) -> OutcomeTree:
+    """Collect the stages and classified leaves of the fusion of W_n and W_m.
+
+    The cached size-free gate run is weighed at (n, m); the stored exact
+    values are those the gates give when run at (n, m).  Both spatial
+    branches carry one completed state, so the second probe gate runs once
+    and is recorded under each of them.  Leaf probabilities are cumulative
+    from the root, exact, and checked to sum to one.
+    """
+    weights = _pattern_weights(n, m)
+    run = _gate_run()
+    states = [s.at(weights) for s in run.states]
+    stage1_branches, stage2_branches, stage3_branches = (
+        _weigh_branches(branches, weights, states) for branches in run.gates
+    )
     keep1 = _branch_by_class(stage1_branches, 1)
     drop1 = _branch_by_class(stage1_branches, 3)
-
-    stages = [StageRecord("polarization-gate-1", tuple(stage1_branches))]
-
-    stage2_branches = step2_spatial_gate(keep1.post_state)
-    stages.append(StageRecord("spatial-gate", tuple(stage2_branches)))
-
-    stage3_branches = tuple(
-        polarization_gate(stage2_branches[0].post_state, Polarization.V)
-    )
     keep3 = _branch_by_class(stage3_branches, 1)
     drop3 = _branch_by_class(stage3_branches, 3)
+
+    stages = [
+        StageRecord("polarization-gate-1", stage1_branches),
+        StageRecord("spatial-gate", stage2_branches),
+    ]
     success_state = keep3.post_state
     merged_state = drop3.post_state
     success_prob = Fraction(0)

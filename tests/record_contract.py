@@ -13,16 +13,24 @@ Run from the repository root after a deliberate change to the contract:
     PYTHONPATH=src python tests/record_contract.py
 
 It rewrites the corpus and prints every argv whose line changed, was added
-or was dropped; it prints nothing when the contract held.
+or was dropped; it prints nothing when the contract held.  To see what a
+change moved without writing anything:
+
+    PYTHONPATH=src python tests/record_contract.py --check
+
+prints the same lines, leaves the corpus as it is, and exits 1 when any
+line differs, else 0.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import os
 import random
 import shlex
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -167,7 +175,17 @@ def read_corpus() -> dict[str, str]:
     }
 
 
-def main_record() -> None:
+def main_record(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Re-record tests/contract.txt and name the argvs whose line "
+        "changed, was added or was dropped."
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; exit 1 when any line differs",
+    )
+    args = parser.parse_args(argv)
     for name, value in ENV_SET.items():
         os.environ[name] = value
     for name in ENV_UNSET:
@@ -175,15 +193,19 @@ def main_record() -> None:
     old = read_corpus()
     with tempfile.TemporaryDirectory() as tmp:
         new = {shlex.join(argv): record(argv, Path(tmp)) for argv in corpus_argvs()}
+    diffs = [
+        f"{'changed' if key in old else 'added'}: {key}"
+        for key, line in new.items()
+        if old.get(key) != line
+    ]
+    diffs += [f"dropped: {key}" for key in old.keys() - new.keys()]
+    for line in diffs:
+        print(line)
+    if args.check:
+        return 1 if diffs else 0
     CORPUS.write_text(HEADER + "".join(line + "\n" for line in new.values()))
-    for key, line in new.items():
-        if key not in old:
-            print(f"added: {key}")
-        elif old[key] != line:
-            print(f"changed: {key}")
-    for key in old.keys() - new.keys():
-        print(f"dropped: {key}")
+    return 0
 
 
 if __name__ == "__main__":
-    main_record()
+    sys.exit(main_record())

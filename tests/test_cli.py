@@ -22,7 +22,15 @@ import wfuse
 from wfuse.cli import main
 from wfuse.protocol import LeafKind, run_fusion
 
-from record_contract import ENV_SET, ENV_UNSET, corpus_argvs, read_corpus, record
+from record_contract import (
+    CORPUS,
+    ENV_SET,
+    ENV_UNSET,
+    corpus_argvs,
+    main_record,
+    read_corpus,
+    record,
+)
 
 
 def run_cli(capsys, argv):
@@ -501,6 +509,35 @@ def test_unknown_command_exits_with_usage_error(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        ([], "error: the following arguments are required: command\n"),
+        (["--bogus"], "error: unrecognized arguments: --bogus\n"),
+    ],
+)
+def test_missing_command_and_unknown_option_name_themselves(capsys, argv, line):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", line)
+
+
+def test_import_leaves_the_gate_run_unbuilt():
+    # the gate sequence runs at the first fusion, so start-up pays nothing
+    code = (
+        "import wfuse.cli, wfuse.protocol as p; "
+        "print(p._gate_run.cache_info().currsize); "
+        "wfuse.cli.main(['fuse', '-n', '3', '-m', '2', '--format', 'csv']); "
+        "print(p._gate_run.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wfuse.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("0", "1")
+
+
 def test_parser_is_built_at_the_first_main_call():
     code = (
         "import wfuse.cli as cli; "
@@ -553,16 +590,20 @@ def test_symbolic_pipeline_imports_no_numpy():
 def test_bench_tracer_patch_points_exist():
     """The benchmark's tracer patches wfuse by name and reads the qubit count
     from brute_force_pipeline's positional arguments; a renamed or rewired
-    name fails here rather than inside a traced benchmark run."""
+    name fails here rather than inside a traced benchmark run.  The gate
+    sequence runs once per process, so the cached run is cleared first: a
+    warm process makes no gate calls for the tracer to see."""
     import importlib.util
 
     import wfuse.cli
+    from wfuse import protocol
 
     path = Path(__file__).parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracer = tracing.Tracer()
+    protocol._gate_run.cache_clear()
     with tracer.install(wfuse):
         # looked up on the module, where the tracer patched it
         assert wfuse.cli.main(["verify", "--max", "4"]) == 0
@@ -670,3 +711,12 @@ def test_contract_corpus_replays(tmp_path, monkeypatch):
         argv for argv, line in corpus.items() if record(shlex.split(argv), tmp_path) != line
     ]
     assert changed == []
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["--bogus"], 2), (["x"], 2)])
+def test_record_contract_writes_nothing_on_a_bad_or_help_argv(capsys, argv, code):
+    before = CORPUS.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main_record(argv)
+    assert exc.value.code == code
+    assert CORPUS.read_bytes() == before

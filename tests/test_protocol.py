@@ -9,13 +9,16 @@ from fractions import Fraction
 
 import pytest
 
+from wfuse import optics, planner, protocol
 from wfuse.optics import (
     BranchState,
+    FusionTerm,
     PathLabel,
     Polarization,
     RegisterKind,
     apply_bs,
     cross_kerr_on_path,
+    make_branch_state,
 )
 from wfuse.protocol import (
     LeafKind,
@@ -35,6 +38,15 @@ V = Polarization.V
 
 def amp_by_pols(state):
     return {(t.pol1, t.pol2): t.amplitude for t in state.terms}
+
+
+@pytest.fixture
+def cold_gate_run():
+    """Clear the per-process gate run before and after the test, so a patched
+    element runs and leaves nothing cached behind it."""
+    protocol._gate_run.cache_clear()
+    yield
+    protocol._gate_run.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +86,6 @@ def test_json_register_counts_track_parties():
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 9) for m in range(2, 9)])
 def test_input_is_normalized(n, m):
     state = build_input_state(n, m)
-    assert abs(state.norm_squared() - 1.0) < ABS_TOL
     assert sum(abs(t.exact) for t in state.terms) == 1
 
 
@@ -102,7 +113,6 @@ def test_homodyne_groups_first_gate_output():
 def test_homodyne_resets_probe_and_renormalizes():
     state = build_input_state(2, 2)
     for branch in polarization_gate(state, H):
-        assert abs(branch.post_state.norm_squared() - 1.0) < ABS_TOL
         assert sum(abs(t.exact) for t in branch.post_state.terms) == 1
         for t in branch.post_state.terms:
             assert t.probe_phase == 0
@@ -117,8 +127,6 @@ def test_homodyne_single_class_probability_one():
 
 
 def test_homodyne_rejects_empty_state():
-    from wfuse.optics import make_branch_state
-
     with pytest.raises(ValueError):
         homodyne_measure(make_branch_state([]))
 
@@ -197,7 +205,7 @@ def test_step2_branches_agree_exactly():
         assert zero.post_state == nonzero.post_state
 
 
-def test_step2_rejects_branches_the_swap_does_not_align(monkeypatch):
+def test_step2_rejects_branches_the_swap_does_not_align(monkeypatch, cold_gate_run):
     monkeypatch.setattr("wfuse.protocol.apply_swap", lambda state: state)
     with pytest.raises(RuntimeError, match="diverged after the swap"):
         run_fusion(3, 2)
@@ -383,3 +391,260 @@ def test_tree_serialization_shape_and_determinism():
     assert abs(sum(leaf["cumProb"] for leaf in doc["leaves"]) - 1.0) < 1e-9
     again = run_fusion(2, 3).to_json_obj()
     assert json.dumps(doc) == json.dumps(again)
+
+
+# ---------------------------------------------------------------------------
+# one gate run per process
+# ---------------------------------------------------------------------------
+
+# the names through which the gate sequence reaches the term algebra
+GATE_NAMES = (
+    "make_branch_state",
+    "normalize_global_phase",
+    "homodyne_measure",
+    "cross_kerr_on_polarization",
+    "cross_kerr_on_path",
+    "probe_linear_shift",
+    "apply_bs",
+    "apply_hwp45",
+    "apply_path_coupler",
+    "apply_swap",
+)
+
+
+def _count_gate_calls(monkeypatch) -> dict:
+    calls = dict.fromkeys(GATE_NAMES, 0)
+    # the elements reach make_branch_state through optics' own name
+    targets = [(protocol, name) for name in GATE_NAMES]
+    targets.append((optics, "make_branch_state"))
+    for module, name in targets:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_warm_run_fusion_makes_no_gate_calls(monkeypatch, cold_gate_run):
+    run_fusion(2, 2)
+    calls = _count_gate_calls(monkeypatch)
+    for n, m in [(2, 2), (3, 5), (17, 4), (1000, 999)]:
+        run_fusion(n, m)
+    assert calls == dict.fromkeys(GATE_NAMES, 0)
+    # the counters see a cold run
+    protocol._gate_run.cache_clear()
+    run_fusion(3, 5)
+    assert calls["homodyne_measure"] == 3
+    assert all(calls[name] > 0 for name in GATE_NAMES)
+
+
+def test_cold_gate_run_gives_the_warm_tree(cold_gate_run):
+    pairs = [(2, 2), (2, 9), (7, 3), (31, 31), (500, 700)]
+    warm = [run_fusion(n, m) for n, m in pairs]
+    protocol._gate_run.cache_clear()
+    cold = [run_fusion(n, m) for n, m in pairs]
+    assert cold == warm
+    assert [t.to_json_obj() for t in cold] == [t.to_json_obj() for t in warm]
+
+
+def test_weighed_run_equals_the_gates_run_at_the_party_sizes():
+    """The reference: the gate sequence run on the input at (n, m).  Every
+    branch probability and stored signed square is the same Fraction."""
+    pairs = [(n, m) for n in range(2, 13) for m in range(2, 13)]
+    for n, m in pairs + [(500, 700), (1000, 2)]:
+        gate1 = polarization_gate(build_input_state(n, m), H)
+        spatial = step2_spatial_gate(gate1[0].post_state)
+        gate2 = polarization_gate(spatial[0].post_state, V)
+        want = [tuple(gate1), tuple(spatial), tuple(gate2), tuple(gate2)]
+        assert [st.branches for st in run_fusion(n, m).stages] == want, (n, m)
+
+
+def test_gate_run_state_is_shared_and_immutable():
+    # functools.cache hands one result to every caller
+    run = protocol._gate_run()
+    assert protocol._gate_run() is run
+    assert len(run.states) == 5
+    assert [len(s.terms) for s in run.states] == [3, 1, 6, 4, 2]
+    with pytest.raises(TypeError):
+        run.states[0].terms[0][2] += 1
+
+
+# A polynomial in a = n-1 and b = m-1 is a dict {(i, j): coefficient of a^i b^j}.
+# The register patterns weigh 1, a, b and ab (protocol._PATTERNS).
+PATTERN_MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _poly(coeffs: dict) -> dict:
+    return {mono: c for mono, c in coeffs.items() if c}
+
+
+def _linear(sums) -> dict:
+    return _poly(dict(zip(PATTERN_MONOMIALS, sums)))
+
+
+def _add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for mono, c in q.items():
+        out[mono] = out.get(mono, 0) + c
+    return _poly(out)
+
+
+def _mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (i, j), c in p.items():
+        for (k, l), d in q.items():
+            out[(i + k, j + l)] = out.get((i + k, j + l), 0) + c * d
+    return _poly(out)
+
+
+def _evaluate(p: dict, n: int, m: int) -> int:
+    return sum(c * (n - 1) ** i * (m - 1) ** j for (i, j), c in p.items())
+
+
+def _branch_rates(branches) -> dict:
+    """Each branch's probability as (numerator, denominator) polynomials."""
+    den = {}
+    for br in branches:
+        den = _add(den, _linear(br.sums))
+    return {br.phase_class: (_linear(br.sums), den) for br in branches}
+
+
+def _symbolic_leaves():
+    """The three leaf probabilities of the cached run as rational functions,
+    and the index of each leaf's state."""
+    gate1, spatial, gate2 = protocol._gate_run().gates
+    g1, g2 = _branch_rates(gate1), _branch_rates(gate2)
+    sp = _branch_rates(spatial)
+    # both spatial branches lead on to the second gate
+    (z_num, z_den), (t_num, t_den) = sp[0], sp[2]
+    assert z_den == t_den
+    through = (_mul(g1[1][0], _add(z_num, t_num)), _mul(g1[1][1], z_den))
+    states = {b.phase_class: b.state for b in gate2}
+    pair_state = next(b.state for b in gate1 if b.phase_class == 3)
+    return {
+        LeafKind.SUCCESS: (
+            (_mul(through[0], g2[1][0]), _mul(through[1], g2[1][1])),
+            states[1],
+        ),
+        LeafKind.RECYCLABLE_PAIR: (g1[3], pair_state),
+        LeafKind.RECYCLABLE_MERGED: (
+            (_mul(through[0], g2[3][0]), _mul(through[1], g2[3][1])),
+            states[3],
+        ),
+    }
+
+
+# (n+m)/(2nm), (n-1)(m-1)/(nm) and (n+m-2)/(2nm) with n = a+1, m = b+1
+NM = {(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1}
+PAPER_RATES = {
+    LeafKind.SUCCESS: ({(1, 0): 1, (0, 1): 1, (0, 0): 2}, _mul({(0, 0): 2}, NM)),
+    LeafKind.RECYCLABLE_PAIR: ({(1, 1): 1}, NM),
+    LeafKind.RECYCLABLE_MERGED: ({(1, 0): 1, (0, 1): 1}, _mul({(0, 0): 2}, NM)),
+}
+
+
+def test_leaf_probabilities_hold_for_symbolic_party_sizes():
+    leaves = _symbolic_leaves()
+    for kind, ((num, den), _) in leaves.items():
+        want_num, want_den = PAPER_RATES[kind]
+        # num/den == want_num/want_den as rational functions of a and b
+        assert _mul(num, want_den) == _mul(den, want_num), kind
+    # the planner's rates are the same functions
+    rates = {LeafKind.SUCCESS: planner.ps_qlf, LeafKind.RECYCLABLE_PAIR: planner.p_pair}
+    sizes = [2, 3, 4, 7, 10, 64, 999, 10**6]
+    for kind, rate in rates.items():
+        (num, den), _ = leaves[kind]
+        for n in sizes:
+            for m in sizes:
+                want = Fraction(_evaluate(num, n, m), _evaluate(den, n, m))
+                assert rate(n, m) == want
+    # and the leaves exhaust the outcomes at every n and m
+    total_num, total_den = {}, {(0, 0): 1}
+    for (num, den), _ in leaves.values():
+        total_num = _add(_mul(total_num, den), _mul(num, total_den))
+        total_den = _mul(total_den, den)
+    assert total_num == total_den
+
+
+def _v_slots(key) -> tuple:
+    """Where a term's vertical photons sit: in A's or B's kept register (a W
+    register holds exactly one) or on traveling photon 1 or 2."""
+    reg_a, reg_b, pol1, path1, pol2, path2, k = key
+    assert (path1, path2, k) == (PathLabel.UNSPLIT, PathLabel.UNSPLIT, 0)
+    w = RegisterKind.W_STATE
+    flags = (reg_a is w, reg_b is w, pol1 is V, pol2 is V)
+    return tuple(slot for slot, v in zip(("A", "B", "p1", "p2"), flags) if v)
+
+
+def test_leaves_are_w_states_for_symbolic_party_sizes():
+    """A term of pattern weight w and signed square w*c/Z stands for w basis
+    states of amplitude sign(c)*sqrt(|c|/Z), so equal c means one amplitude
+    and one sign.  A's register holds n-1 positions, B's m-1, and each
+    traveling photon one."""
+    run = protocol._gate_run()
+    for kind, (_, index) in _symbolic_leaves().items():
+        state = run.states[index]
+        slots = sorted(_v_slots(key) for key, _, _ in state.terms)
+        if kind is LeafKind.SUCCESS:
+            # one V over n-1 + m-1 + 1 + 1 = n+m disjoint positions: W_{n+m}
+            assert slots == [("A",), ("B",), ("p1",), ("p2",)]
+        elif kind is LeafKind.RECYCLABLE_PAIR:
+            # one V in A's n-1 positions times one in B's m-1: W_{n-1} W_{m-1}
+            assert slots == [("A", "B")]
+        else:
+            # both photons V, one V over n-1 + m-1 positions: W_{n+m-2}
+            assert slots == [("A", "p1", "p2"), ("B", "p1", "p2")]
+        assert len({c for _, _, c in state.terms}) == 1
+        assert state.terms[0][2] > 0
+
+
+# ---------------------------------------------------------------------------
+# the exact norm checks
+# ---------------------------------------------------------------------------
+
+
+def _drop_last_term(state):
+    return BranchState(state.terms[:-1])
+
+
+def _inflate_first_term(state):
+    first = state.terms[0]
+    return BranchState((first._replace(exact=first.exact * 4),) + state.terms[1:])
+
+
+@pytest.mark.parametrize("mutate", [_drop_last_term, _inflate_first_term])
+@pytest.mark.parametrize("element", ["apply_path_coupler", "probe_linear_shift"])
+def test_element_that_changes_the_norm_fails_the_pattern_check(
+    monkeypatch, cold_gate_run, element, mutate
+):
+    """A lost term lowers the norm, which the removed float cap (norm at
+    most 1 + 1e-12) let pass; an inflated one raises it, which the cap
+    caught.  Keeping every pattern's sum exactly implies both."""
+    real = getattr(protocol, element)
+    monkeypatch.setattr(protocol, element, lambda *args: mutate(real(*args)))
+    with pytest.raises(ValueError, match="changed a register pattern's norm"):
+        run_fusion(3, 5)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_terms_that_meet_at_the_probe_reset_fail_the_partition(sign):
+    # k = +1 and k = -1 meet at k = 0: they add to twice the norm, or cancel
+    term = FusionTerm(
+        RegisterKind.ALL_HORIZONTAL, RegisterKind.ALL_HORIZONTAL,
+        H, PathLabel.UNSPLIT, V, PathLabel.UNSPLIT, 1, Fraction(1, 2),
+    )
+    state = make_branch_state(
+        [term, term._replace(probe_phase=-1, exact=sign * term.exact)]
+    )
+    with pytest.raises(ValueError, match="changed a norm"):
+        homodyne_measure(state)
+
+
+def test_homodyne_reports_shares_of_an_unnormalized_state():
+    state = polarization_gate(build_input_state(3, 4), H)[0].post_state
+    s = step2_spatial_gate(state)[0].post_state
+    scaled = BranchState(tuple(t._replace(exact=3 * t.exact) for t in s.terms))
+    assert polarization_gate(scaled, V) == polarization_gate(s, V)
