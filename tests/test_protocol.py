@@ -518,7 +518,8 @@ def _symbolic_leaves():
     gate1, spatial, gate2 = protocol._gate_run().gates
     g1, g2 = _branch_rates(gate1), _branch_rates(gate2)
     sp = _branch_rates(spatial)
-    # both spatial branches lead on to the second gate
+    # both spatial branches lead on to the second gate, so, as in run_fusion,
+    # success = keep1 * (zero + two) * keep3 and merged = ... * drop3
     (z_num, z_den), (t_num, t_den) = sp[0], sp[2]
     assert z_den == t_den
     through = (_mul(g1[1][0], _add(z_num, t_num)), _mul(g1[1][1], z_den))
@@ -538,7 +539,7 @@ def _symbolic_leaves():
 
 
 # (n+m)/(2nm), (n-1)(m-1)/(nm) and (n+m-2)/(2nm) with n = a+1, m = b+1
-NM = {(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1}
+NM = {(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1}  # nm = (a+1)(b+1)
 PAPER_RATES = {
     LeafKind.SUCCESS: ({(1, 0): 1, (0, 1): 1, (0, 0): 2}, _mul({(0, 0): 2}, NM)),
     LeafKind.RECYCLABLE_PAIR: ({(1, 1): 1}, NM),
