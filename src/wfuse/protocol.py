@@ -14,9 +14,11 @@ homogeneous in those weights (see ``optics``).  So the gate sequence runs
 once per process, with no sizes, on an unnormalized input whose signed
 square is 1 in each pattern; the run is cached at the first
 ``run_fusion`` call, never at import.  ``run_fusion(n, m)`` then weighs the
-cached states and branch sums with integer weights.  Every element of the
-gate sequence is checked to keep each pattern's norm exactly, which is norm
-conservation at every (n, m) at once.
+cached states and branch sums with integer weights, and checks nothing
+that holds at every size.  The gate run checks those facts once: every
+element keeps each pattern's norm exactly, which is norm conservation at
+every (n, m) at once; the measurements give their phase classes in order;
+and the drop branch of the second probe gate is a merged W state.
 
 Homodyne readout is idealized here: branches are grouped by the absolute
 probe phase, the measurement-induced relative phase inside a group is taken
@@ -200,18 +202,6 @@ def _size_free_input() -> BranchState:
     )
 
 
-def build_input_state(n: int, m: int) -> BranchState:
-    """Tensor product of W_n and W_m, written in kept-register form.
-
-    The four components follow from peeling the last photon off each W
-    state; a single-photon W register is the lone vertical photon.  The
-    kept registers hold n-1 and m-1 photons, which only the pattern weights
-    reflect: the state itself records no size.
-    """
-    weights = _pattern_weights(n, m)
-    return _SizeFreeState.of(_size_free_input()).at(weights)
-
-
 def _apply(state: BranchState, *steps) -> BranchState:
     """Apply the (element, *args) steps in turn, checking that each keeps
     the norm of every register pattern exactly."""
@@ -297,43 +287,26 @@ def step2_spatial_gate(state: BranchState) -> list[MeasurementBranch]:
     return [replace(zero, post_state=post), replace(two, post_state=post)]
 
 
-def _branch_by_class(branches: list[MeasurementBranch], abs_k: int) -> MeasurementBranch:
-    for br in branches:
-        if br.phase_class == abs_k:
-            return br
-    raise ValueError(f"no branch with phase class {abs_k}")
+def _check_classes(*gates: list[MeasurementBranch]) -> None:
+    classes = [[br.phase_class for br in branches] for branches in gates]
+    if classes != [[1, 3], [0, 2], [1, 3]]:
+        raise RuntimeError(f"unexpected phase classes {classes}")
 
 
-def project_recyclable(state: BranchState, n: int, m: int) -> tuple[int, ...]:
-    """Check the drop branch of the second probe gate of the fusion of W_n
-    and W_m, and return its sizes.
-
-    Projecting both photons onto vertical leaves the kept registers in a
-    merged W state of n+m-2 photons; the check asserts equal per-position
-    amplitudes across the two register patterns, whose W registers hold n-1
-    and m-1 photons.
-    """
-    if not state.terms:
-        raise ValueError("empty state")
-    seen = set()
-    per_position = set()
-    for t in state.terms:
-        if t.pol1 is not Polarization.V or t.pol2 is not Polarization.V:
-            raise ValueError("photons are not all vertical")
-        regs = (t.reg_a, t.reg_b)
-        if regs == (RegisterKind.W_STATE, RegisterKind.ALL_HORIZONTAL):
-            count = n - 1
-        elif regs == (RegisterKind.ALL_HORIZONTAL, RegisterKind.W_STATE):
-            count = m - 1
-        else:
-            raise ValueError("unexpected register pattern for a merged W state")
-        seen.add(regs)
-        per_position.add(t.exact / count)
-    if len(seen) != 2:
-        raise ValueError("merged W state must cover both register patterns")
-    if len(per_position) != 1:
+def _check_merged(state: _SizeFreeState) -> None:
+    """Check that the drop branch of the second probe gate is a merged W
+    state of n+m-2 photons at every (n, m): both photons vertical, one term
+    in each single-W register pattern, and one c for every term.  At (n, m)
+    a term of pattern weight w stores w*c/Z and stands for w positions, so
+    one c is one per-position amplitude."""
+    # a key is (reg_a, reg_b, pol1, path1, pol2, path2, probe_phase)
+    if any((key[2], key[4]) != (Polarization.V,) * 2 for key, _, _ in state.terms):
+        raise ValueError("photons are not all vertical")
+    # the patterns (W, all-H) and (all-H, W) of _PATTERNS
+    if sorted(i for _, i, _ in state.terms) != [1, 2]:
+        raise ValueError("merged W state must cover the two single-W patterns")
+    if len({c for _, _, c in state.terms}) != 1:
         raise ValueError("per-position amplitudes are unequal")
-    return (n + m - 2,)
 
 
 class _Branch(NamedTuple):
@@ -356,14 +329,17 @@ class _GateRun(NamedTuple):
 def _gate_run() -> _GateRun:
     """The gate sequence, run once per process with no party sizes.
 
-    A branch's share of a pattern's norm is its probability times its
-    post-state's pattern sum: ``homodyne_measure`` checks that the share
-    survives the readout, and the elements of the spatial gate that act
-    after it keep every pattern sum.
+    Each fact that holds at every (n, m) is checked here, once: the phase
+    classes of the three measurements, and the merged W state.  A branch's
+    share of a pattern's norm is its probability times its post-state's
+    pattern sum: ``homodyne_measure`` checks that the share survives the
+    readout, and the elements of the spatial gate that act after it keep
+    every pattern sum.
     """
     gate1 = polarization_gate(_size_free_input(), Polarization.H)
-    spatial = step2_spatial_gate(_branch_by_class(gate1, 1).post_state)
+    spatial = step2_spatial_gate(gate1[0].post_state)
     gate2 = polarization_gate(spatial[0].post_state, Polarization.V)
+    _check_classes(gate1, spatial, gate2)
     index: dict[BranchState, int] = {}
     gates = []
     for branches in (gate1, spatial, gate2):
@@ -383,6 +359,7 @@ def _gate_run() -> _GateRun:
             )
         )
     states = tuple(_SizeFreeState.of(s) for s in index)
+    _check_merged(states[gates[2][1].state])
     return _GateRun(states, tuple(gates))
 
 
@@ -408,48 +385,33 @@ def run_fusion(n: int, m: int) -> OutcomeTree:
     The cached size-free gate run is weighed at (n, m); the stored exact
     values are those the gates give when run at (n, m).  Both spatial
     branches carry one completed state, so the second probe gate runs once
-    and is recorded under each of them.  Leaf probabilities are cumulative
-    from the root, exact, and checked to sum to one.
+    and is recorded under each of them, and the two spatial probabilities
+    sum to exactly 1.  Leaf probabilities are cumulative from the root,
+    exact, and checked to sum to one.
     """
     weights = _pattern_weights(n, m)
     run = _gate_run()
     states = [s.at(weights) for s in run.states]
-    stage1_branches, stage2_branches, stage3_branches = (
-        _weigh_branches(branches, weights, states) for branches in run.gates
-    )
-    keep1 = _branch_by_class(stage1_branches, 1)
-    drop1 = _branch_by_class(stage1_branches, 3)
-    keep3 = _branch_by_class(stage3_branches, 1)
-    drop3 = _branch_by_class(stage3_branches, 3)
-
-    stages = [
-        StageRecord("polarization-gate-1", stage1_branches),
-        StageRecord("spatial-gate", stage2_branches),
-    ]
-    success_state = keep3.post_state
-    merged_state = drop3.post_state
-    success_prob = Fraction(0)
-    merged_prob = Fraction(0)
-    for br2 in stage2_branches:
-        stages.append(
-            StageRecord(
-                f"polarization-gate-2[via phase-class-{br2.phase_class}]",
-                stage3_branches,
-            )
-        )
-        path_prob = keep1.probability_exact * br2.probability_exact
-        success_prob += path_prob * keep3.probability_exact
-        merged_prob += path_prob * drop3.probability_exact
-
+    stage1, stage2, stage3 = [_weigh_branches(g, weights, states) for g in run.gates]
+    (keep1, drop1), (keep3, drop3) = stage1, stage3
+    p_keep1 = keep1.probability_exact
     leaves = {
-        LeafKind.SUCCESS: OutcomeLeaf((n + m,), success_prob, success_state),
+        LeafKind.SUCCESS: OutcomeLeaf(
+            (n + m,), p_keep1 * keep3.probability_exact, keep3.post_state
+        ),
         LeafKind.RECYCLABLE_PAIR: OutcomeLeaf(
             (n - 1, m - 1), drop1.probability_exact, drop1.post_state
         ),
         LeafKind.RECYCLABLE_MERGED: OutcomeLeaf(
-            project_recyclable(merged_state, n, m), merged_prob, merged_state
+            (n + m - 2,), p_keep1 * drop3.probability_exact, drop3.post_state
         ),
     }
     if sum(lf.probability_exact for lf in leaves.values()) != 1:
         raise RuntimeError("exact leaf probabilities do not sum to 1")
-    return OutcomeTree(n, m, tuple(stages), leaves)
+    stages = (
+        StageRecord("polarization-gate-1", stage1),
+        StageRecord("spatial-gate", stage2),
+        StageRecord("polarization-gate-2[via phase-class-0]", stage3),
+        StageRecord("polarization-gate-2[via phase-class-2]", stage3),
+    )
+    return OutcomeTree(n, m, stages, leaves)

@@ -30,7 +30,6 @@ from wfuse.planner import (
 )
 from wfuse.protocol import (
     LeafKind,
-    build_input_state,
     polarization_gate,
     run_fusion,
     step2_spatial_gate,
@@ -42,6 +41,7 @@ from dense_helpers import (
     mach_zehnder_mode_matrix,
     two_photon_routing_matrix,
 )
+from symbolic_helpers import build_input_state
 
 ABS_TOL = 1e-12
 FID_TOL = 1e-10

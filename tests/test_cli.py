@@ -6,6 +6,7 @@ as the installed console script, minus the process boundary.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import math
@@ -585,6 +586,52 @@ def test_symbolic_pipeline_imports_no_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def _top_level_names(stmt: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+    if isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    return [
+        node.id
+        for target in targets
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name)
+    ]
+
+
+def _read_names(stmt: ast.stmt) -> set[str]:
+    """The names a statement reads, as a plain name or as an attribute."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_src_defines_only_names_that_src_reads():
+    """``src/wfuse`` keeps only what the CLI runs: every name a module
+    defines at top level is read somewhere in the package outside its own
+    definition.  A name that only the tests read belongs with the tests.
+    ``main_entry`` is exempt, because ``pyproject.toml`` names it as the
+    console script."""
+    src = Path(wfuse.__file__).parent
+    modules = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    statements = [stmt for module in modules for stmt in module.body]
+    reads = [_read_names(stmt) for stmt in statements]
+    unread = [
+        name
+        for i, stmt in enumerate(statements)
+        for name in _top_level_names(stmt)
+        if name != "main_entry"
+        and not any(name in r for j, r in enumerate(reads) if j != i)
+    ]
+    assert unread == []
 
 
 def test_bench_tracer_patch_points_exist():

@@ -29,7 +29,6 @@ from wfuse.optics import (
     round_sig12,
     state_to_json_obj,
 )
-from wfuse.protocol import build_input_state
 
 from dense_helpers import (
     SWAP_MATRIX,
@@ -38,6 +37,7 @@ from dense_helpers import (
     phase_shift_matrix,
     two_photon_routing_matrix,
 )
+from symbolic_helpers import build_input_state
 
 ABS_TOL = 1e-12
 

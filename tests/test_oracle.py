@@ -21,9 +21,10 @@ from wfuse.oracle import (
     make_w_state,
 )
 from wfuse.planner import p_pair, ps_qlf
-from wfuse.protocol import LeafKind, build_input_state, run_fusion
+from wfuse.protocol import LeafKind, run_fusion
 
 from dense_helpers import embed_register_state, gather, kept_w_product, scatter
+from symbolic_helpers import build_input_state
 
 FID_TOL = 1e-10
 

@@ -1,10 +1,14 @@
 """Tests for the three-stage pipeline: branch structure, probabilities,
-recyclable classification, and the outcome tree."""
+the outcome tree, and the size-free gate run that ``run_fusion`` weighs.
+The phase-class and merged-W-state checks run once, in that gate run; the
+tests below call them directly, and through a cold run with a patched gate.
+"""
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,13 +26,13 @@ from wfuse.optics import (
 )
 from wfuse.protocol import (
     LeafKind,
-    build_input_state,
     homodyne_measure,
     polarization_gate,
-    project_recyclable,
     run_fusion,
     step2_spatial_gate,
 )
+
+from symbolic_helpers import build_input_state
 
 ABS_TOL = 1e-12
 
@@ -279,29 +283,66 @@ def test_unnormalized_success_amplitude_identity():
         assert exact == Fraction(n + m, 4 * n * m)
 
 
-def test_project_recyclable_classifies_merged_branch():
-    keep = polarization_gate(build_input_state(3, 4), H)[0].post_state
+def _size_free_drop_state():
+    """The drop branch of the second probe gate, run on the size-free input."""
+    keep = polarization_gate(protocol._size_free_input(), H)[0].post_state
     merged = step2_spatial_gate(keep)[0].post_state
-    drop = polarization_gate(merged, V)[1].post_state
-    assert project_recyclable(drop, 3, 4) == (5,)
+    return polarization_gate(merged, V)[1].post_state
 
 
-def test_project_recyclable_rejects_wrong_states():
-    state = build_input_state(2, 2)
-    with pytest.raises(ValueError):
-        project_recyclable(state, 2, 2)
+def test_merged_check_accepts_the_cached_drop_branch():
+    run = protocol._gate_run()
+    drop = run.gates[2][1]
+    assert drop.phase_class == 3
+    protocol._check_merged(run.states[drop.state])
+    assert run.states[drop.state] == protocol._SizeFreeState.of(_size_free_drop_state())
 
 
-def test_project_recyclable_rejects_unequal_per_position_amplitudes():
-    keep = polarization_gate(build_input_state(3, 4), H)[0].post_state
-    merged = step2_spatial_gate(keep)[0].post_state
-    drop = polarization_gate(merged, V)[1].post_state
-    first, second = drop.terms
+def test_merged_check_rejects_the_size_free_input():
+    state = protocol._SizeFreeState.of(protocol._size_free_input())
+    with pytest.raises(ValueError, match="not all vertical"):
+        protocol._check_merged(state)
+
+
+def test_merged_check_rejects_unequal_per_position_amplitudes():
+    first, second = _size_free_drop_state().terms
     flipped = second._replace(exact=-second.exact)
     shrunk = second._replace(exact=second.exact * Fraction(1, 4))
     for bad in (flipped, shrunk):
+        state = protocol._SizeFreeState.of(BranchState((first, bad)))
         with pytest.raises(ValueError, match="unequal"):
-            project_recyclable(BranchState((first, bad)), 3, 4)
+            protocol._check_merged(state)
+
+
+def test_merged_check_rejects_a_missing_pattern():
+    first, _ = _size_free_drop_state().terms
+    state = protocol._SizeFreeState.of(BranchState((first,)))
+    with pytest.raises(ValueError, match="two single-W patterns"):
+        protocol._check_merged(state)
+
+
+def test_cold_run_rejects_unequal_merged_terms(monkeypatch, cold_gate_run):
+    real = protocol.polarization_gate
+
+    def gate(state, pol):
+        branches = real(state, pol)
+        if pol is V:
+            first, second = branches[1].post_state.terms
+            bad = BranchState((first, second._replace(exact=second.exact / 4)))
+            branches[1] = replace(branches[1], post_state=bad)
+        return branches
+
+    monkeypatch.setattr(protocol, "polarization_gate", gate)
+    with pytest.raises(ValueError, match="per-position amplitudes are unequal"):
+        run_fusion(3, 4)
+
+
+def test_cold_run_rejects_branches_out_of_phase_class_order(monkeypatch, cold_gate_run):
+    real = protocol.homodyne_measure
+    monkeypatch.setattr(protocol, "homodyne_measure", lambda state: real(state)[::-1])
+    with pytest.raises(RuntimeError, match="phase classes") as raised:
+        run_fusion(3, 4)
+    assert "[[3, 1], [2, 0], [3, 1]]" in str(raised.value)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +453,9 @@ GATE_NAMES = (
 )
 
 
-def _count_gate_calls(monkeypatch) -> dict:
-    calls = dict.fromkeys(GATE_NAMES, 0)
-    # the elements reach make_branch_state through optics' own name
-    targets = [(protocol, name) for name in GATE_NAMES]
-    targets.append((optics, "make_branch_state"))
+def _count_calls(monkeypatch, targets) -> dict:
+    """Count the calls made through each (module, name) from now on."""
+    calls = {name: 0 for _, name in targets}
     for module, name in targets:
         fn = getattr(module, name)
 
@@ -430,7 +469,9 @@ def _count_gate_calls(monkeypatch) -> dict:
 
 def test_warm_run_fusion_makes_no_gate_calls(monkeypatch, cold_gate_run):
     run_fusion(2, 2)
-    calls = _count_gate_calls(monkeypatch)
+    # the elements reach make_branch_state through optics' own name
+    targets = [(protocol, name) for name in GATE_NAMES]
+    calls = _count_calls(monkeypatch, targets + [(optics, "make_branch_state")])
     for n, m in [(2, 2), (3, 5), (17, 4), (1000, 999)]:
         run_fusion(n, m)
     assert calls == dict.fromkeys(GATE_NAMES, 0)
@@ -439,6 +480,19 @@ def test_warm_run_fusion_makes_no_gate_calls(monkeypatch, cold_gate_run):
     run_fusion(3, 5)
     assert calls["homodyne_measure"] == 3
     assert all(calls[name] > 0 for name in GATE_NAMES)
+
+
+def test_warm_run_fusion_runs_no_size_free_check(monkeypatch, cold_gate_run):
+    run_fusion(2, 2)
+    names = ("_check_classes", "_check_merged")
+    calls = _count_calls(monkeypatch, [(protocol, name) for name in names])
+    for n, m in [(2, 2), (3, 5), (17, 4), (1000, 999)]:
+        run_fusion(n, m)
+    assert calls == dict.fromkeys(names, 0)
+    # the counters see a cold run
+    protocol._gate_run.cache_clear()
+    run_fusion(3, 5)
+    assert calls == dict.fromkeys(names, 1)
 
 
 def test_cold_gate_run_gives_the_warm_tree(cold_gate_run):
@@ -451,8 +505,10 @@ def test_cold_gate_run_gives_the_warm_tree(cold_gate_run):
 
 
 def test_weighed_run_equals_the_gates_run_at_the_party_sizes():
-    """The reference: the gate sequence run on the input at (n, m).  Every
-    branch probability and stored signed square is the same Fraction."""
+    """The reference: the gate sequence run on the input at (n, m), which
+    the test helper writes term by term, sharing no weighing code with
+    ``run_fusion``.  Every branch probability and stored signed square is
+    the same Fraction."""
     pairs = [(n, m) for n in range(2, 13) for m in range(2, 13)]
     for n, m in pairs + [(500, 700), (1000, 2)]:
         gate1 = polarization_gate(build_input_state(n, m), H)
